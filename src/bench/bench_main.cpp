@@ -260,7 +260,9 @@ struct SystemBench {
   double synthSeconds = 0;
   double mapSeconds = 0;
   double staSeconds = 0;
-  double cosimSeconds = 0;
+  double cosimSeconds = 0;       // gate + oracle busy time
+  double cosimGateSeconds = 0;   // lane-packed gate simulation
+  double cosimOracleSeconds = 0; // summed behavioural replays
 };
 
 SystemBench systemBenchOf(lis::flow::Design& d,
@@ -289,7 +291,12 @@ SystemBench systemBenchOf(lis::flow::Design& d,
   r.mapSeconds = d.stageSeconds("map");
   r.staSeconds = d.stageSeconds("sta");
   for (const lis::flow::PassRecord& rec : res.records) {
-    if (rec.name == "cosim") r.cosimSeconds += rec.seconds;
+    if (rec.name != "cosim") continue;
+    r.cosimSeconds += rec.seconds;
+    for (const auto& [key, value] : rec.timings) {
+      if (key == "gate_s") r.cosimGateSeconds += value;
+      if (key == "oracle_s") r.cosimOracleSeconds += value;
+    }
   }
   return r;
 }
@@ -334,7 +341,9 @@ std::string jsonSystem(const SystemBench& b) {
      << ", \"synth_seconds\": " << scrub(b.synthSeconds)
      << ", \"map_seconds\": " << scrub(b.mapSeconds)
      << ", \"sta_seconds\": " << scrub(b.staSeconds)
-     << ", \"cosim_seconds\": " << scrub(b.cosimSeconds) << "}";
+     << ", \"cosim_seconds\": " << scrub(b.cosimSeconds)
+     << ", \"cosim_gate_seconds\": " << scrub(b.cosimGateSeconds)
+     << ", \"cosim_oracle_seconds\": " << scrub(b.cosimOracleSeconds) << "}";
   return os.str();
 }
 
@@ -941,11 +950,12 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf("%s %-12s %4zu pearls %4zu chans %6zu LUT %6zu slices "
-                  "fmax %.1f MHz (synth %.3fs, map %.3fs, cosim %.3fs, "
-                  "%llu tokens)\n",
+                  "fmax %.1f MHz (synth %.3fs, map %.3fs, cosim %.3fs = "
+                  "gate %.3fs + oracle %.3fs, %llu tokens)\n",
                   label, b.topology.c_str(), b.pearls, b.channels, b.luts,
                   b.slices, b.fmaxMHz, scrub(b.synthSeconds),
                   scrub(b.mapSeconds), scrub(b.cosimSeconds),
+                  scrub(b.cosimGateSeconds), scrub(b.cosimOracleSeconds),
                   static_cast<unsigned long long>(b.cosimTokens));
     }
   }

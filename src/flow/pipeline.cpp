@@ -41,7 +41,11 @@ void PassContext::error(std::string message) {
 }
 
 void PassContext::metric(std::string key, double value) {
-  metrics_->emplace_back(std::move(key), value);
+  rec_->metrics.emplace_back(std::move(key), value);
+}
+
+void PassContext::timing(std::string key, double seconds) {
+  rec_->timings.emplace_back(std::move(key), seconds);
 }
 
 void PassContext::parallelFor(std::size_t n,
@@ -229,44 +233,90 @@ void ProveEncodingEquiv::run(Design& design, PassContext& ctx) {
   }
 }
 
-void Cosim::run(Design& design, PassContext& ctx) {
-  // Drive the design's cached synthesis (building it on first access)
-  // rather than re-running buildWrapper/buildSystem inside the oracle.
-  // Seed shards fan out onto the executor's pool; the sharded result is a
-  // pure function of the options (see CosimOptions::shards), so wiring
-  // the runner changes wall time only, never the outcome.
-  sync::CosimOptions opts = options_;
-  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
-  if (Executor* exec = ctx.executor(); exec != nullptr && opts.shards > 1) {
-    opts.runner = [exec](std::size_t n,
-                         const std::function<void(std::size_t)>& f) {
-      exec->forEach(n, f, nullptr, "cosim.shards");
-    };
+namespace {
+
+double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+bool hasBehaviouralModel(const Design& d) {
+  return d.wrapperConfig() != nullptr || d.systemSpec() != nullptr;
+}
+
+/// Cosim gate phase over the design's cached synthesis (building it on
+/// first access) rather than re-running buildWrapper/buildSystem.
+sync::CosimTrace cosimGate(Design& d, const sync::CosimOptions& opts) {
+  if (const sync::WrapperConfig* cfg = d.wrapperConfig()) {
+    return sync::cosimGatePhase(*d.wrapper(), *cfg, opts);
   }
-  sync::CosimResult r;
-  if (const sync::WrapperConfig* cfg = design.wrapperConfig()) {
-    r = sync::cosimWrapper(*design.wrapper(), *cfg, opts);
-  } else if (const sync::SystemSpec* spec = design.systemSpec()) {
-    r = sync::cosimSystem(*design.system(), *spec, opts);
-  } else {
-    ctx.note(design.name() + ": prebuilt netlist has no behavioural model");
-    return;
+  return sync::cosimGatePhase(*d.system(), *d.systemSpec(), opts);
+}
+
+sync::CosimResult cosimOracle(const Design& d, const sync::CosimTrace& trace,
+                              std::size_t lane) {
+  if (const sync::WrapperConfig* cfg = d.wrapperConfig()) {
+    return sync::cosimOraclePhase(trace, lane, *cfg);
   }
+  return sync::cosimOraclePhase(trace, lane, *d.systemSpec());
+}
+
+/// The cosim pass's record for a finished run — one definition for
+/// Cosim::run and runMany's batched schedule.
+void recordCosim(Design& d, PassContext& ctx, sync::CosimResult r,
+                 std::uint64_t gatePasses, double gateSeconds,
+                 double oracleSeconds) {
   ctx.metric("cycles", static_cast<double>(r.cyclesRun));
   ctx.metric("fires", static_cast<double>(r.fires));
   ctx.metric("tokens", static_cast<double>(r.tokens));
-  design.metrics().set("cosim.cycles", static_cast<double>(r.cyclesRun));
-  design.metrics().set("cosim.fires", static_cast<double>(r.fires));
-  design.metrics().set("cosim.tokens", static_cast<double>(r.tokens));
+  ctx.metric("gate_passes", static_cast<double>(gatePasses));
+  ctx.timing("gate_s", gateSeconds);
+  ctx.timing("oracle_s", oracleSeconds);
+  d.metrics().set("cosim.cycles", static_cast<double>(r.cyclesRun));
+  d.metrics().set("cosim.fires", static_cast<double>(r.fires));
+  d.metrics().set("cosim.tokens", static_cast<double>(r.tokens));
+  d.metrics().set("cosim.gate_passes", static_cast<double>(gatePasses));
   const bool ok = r.ok;
   const bool cancelled = r.cancelled;
   const std::string mismatch = r.mismatch;
-  design.setCosimResult(std::move(r));
+  d.setCosimResult(std::move(r));
   if (cancelled) {
     ctx.error("co-simulation cancelled: " + mismatch);
   } else if (!ok) {
     ctx.error("co-simulation mismatch: " + mismatch);
   }
+}
+
+} // namespace
+
+void Cosim::run(Design& design, PassContext& ctx) {
+  if (!hasBehaviouralModel(design)) {
+    ctx.note(design.name() + ": prebuilt netlist has no behavioural model");
+    return;
+  }
+  // One lane-packed gate simulation for every shard, then the shards'
+  // oracle replays on the executor's pool. The result is a pure function
+  // of the options (see CosimOptions::shards), so the fan-out changes
+  // wall time only, never the outcome.
+  sync::CosimOptions opts = options_;
+  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
+  const auto t0 = std::chrono::steady_clock::now();
+  const sync::CosimTrace trace = cosimGate(design, opts);
+  const double gateSeconds = secondsSince(t0);
+  std::vector<sync::CosimResult> parts(trace.lanes);
+  std::vector<double> laneSeconds(trace.lanes, 0.0);
+  ctx.parallelFor(
+      trace.lanes,
+      [&](std::size_t l) {
+        const auto l0 = std::chrono::steady_clock::now();
+        parts[l] = cosimOracle(design, trace, l);
+        laneSeconds[l] = secondsSince(l0);
+      },
+      "cosim.shards");
+  double oracleSeconds = 0;
+  for (double s : laneSeconds) oracleSeconds += s;
+  recordCosim(design, ctx, sync::cosimMergeShards(std::move(parts)),
+              trace.gatePasses, gateSeconds, oracleSeconds);
 }
 
 void FaultCampaign::run(Design& design, PassContext& ctx) {
@@ -688,7 +738,7 @@ RunResult Pipeline::runOne(Design& design, Executor* exec,
       deadline.setDeadlineAfter(passDeadline_);
       cancel = &deadline;
     }
-    PassContext ctx(rec.name, result.diagnostics, rec.metrics, exec, cancel);
+    PassContext ctx(rec, result.diagnostics, exec, cancel);
     obs::Span span("pass:" + rec.name);
     span.arg("design", design.name());
     const auto t0 = std::chrono::steady_clock::now();
@@ -779,29 +829,22 @@ std::vector<RunResult> Pipeline::runMany(std::vector<Design>& designs,
 void Pipeline::runCosimBatched(std::vector<Design>& designs,
                                std::vector<RunResult>& results,
                                Executor& exec, const Cosim& pass) {
-  // Per-design shard bookkeeping. Deadline tokens live in a deque for
-  // address stability (CosimOptions::cancel points at them).
+  // Per-design bookkeeping. Deadline tokens live in a deque for address
+  // stability (CosimOptions::cancel points at them).
   std::vector<sync::CosimOptions> optsOf(designs.size());
   std::vector<const support::CancellationToken*> deadlineOf(designs.size(),
                                                             nullptr);
   std::deque<support::CancellationToken> deadlines;
-  std::vector<std::vector<sync::CosimResult>> parts(designs.size());
-  std::vector<char> active(designs.size(), 0);
-  struct ShardTask {
-    std::size_t design;
-    std::size_t shard;
-  };
-  std::vector<ShardTask> tasks;
+  std::vector<std::size_t> active; // designs that run the pass, in order
 
   for (std::size_t i = 0; i < designs.size(); ++i) {
     if (!results[i].ok) continue; // phase A failed: the pass never runs
     Design& d = designs[i];
-    if (d.wrapperConfig() == nullptr && d.systemSpec() == nullptr) {
-      // Mirror Cosim::run's prebuilt-netlist note without any shard work.
+    if (!hasBehaviouralModel(d)) {
+      // Mirror Cosim::run's prebuilt-netlist note without any cosim work.
       PassRecord rec;
       rec.name = pass.name();
-      PassContext ctx(rec.name, results[i].diagnostics, rec.metrics, &exec,
-                      nullptr);
+      PassContext ctx(rec, results[i].diagnostics, &exec, nullptr);
       obs::Span span("pass:" + rec.name);
       span.arg("design", d.name());
       ctx.note(d.name() + ": prebuilt netlist has no behavioural model");
@@ -809,7 +852,7 @@ void Pipeline::runCosimBatched(std::vector<Design>& designs,
       results[i].records.push_back(std::move(rec));
       continue;
     }
-    active[i] = 1;
+    active.push_back(i);
     sync::CosimOptions o = pass.options();
     if (o.cancel == nullptr && passDeadline_ > 0) {
       deadlines.emplace_back();
@@ -818,94 +861,84 @@ void Pipeline::runCosimBatched(std::vector<Design>& designs,
       deadlineOf[i] = &deadlines.back();
     }
     optsOf[i] = std::move(o);
-    const std::size_t shards =
-        optsOf[i].vcd == nullptr ? std::max(1u, optsOf[i].shards) : 1;
-    parts[i].resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) tasks.push_back({i, s});
   }
-  if (tasks.empty()) return;
+  if (active.empty()) return;
 
-  // Flat shard fan-out; per-shard wall time is summed into the design's
-  // pass record. Shard failures (a throwing accessor) are captured per
-  // index and folded into the owning design's record below — lowest shard
-  // wins, so the reported error is schedule-independent.
+  // Failures (a throwing accessor) are captured per design and folded
+  // into its record below — gate phase first, then the lowest failing
+  // shard, so the reported error is schedule-independent.
+  std::vector<std::exception_ptr> failure(designs.size());
+
+  // Gate phase: one lane-packed simulation per design.
+  std::vector<sync::CosimTrace> traces(designs.size());
+  std::vector<double> gateSeconds(designs.size(), 0.0);
+  const std::vector<std::exception_ptr> gateErrors = exec.forEachAll(
+      active.size(),
+      [&](std::size_t a) {
+        const std::size_t i = active[a];
+        const auto t0 = std::chrono::steady_clock::now();
+        traces[i] = cosimGate(designs[i], optsOf[i]);
+        gateSeconds[i] = secondsSince(t0);
+      },
+      nullptr, "cosim.gate");
+
+  // Oracle phase: every shard of every design in one flat fan-out.
+  struct ShardTask {
+    std::size_t design;
+    std::size_t lane;
+  };
+  std::vector<ShardTask> tasks;
+  std::vector<std::vector<sync::CosimResult>> parts(designs.size());
+  for (std::size_t a = 0; a < active.size(); ++a) {
+    const std::size_t i = active[a];
+    if (gateErrors[a] != nullptr) {
+      failure[i] = gateErrors[a];
+      continue;
+    }
+    parts[i].resize(traces[i].lanes);
+    for (std::size_t l = 0; l < traces[i].lanes; ++l) tasks.push_back({i, l});
+  }
   std::vector<double> shardSeconds(tasks.size(), 0.0);
-  const std::vector<std::exception_ptr> errors = exec.forEachAll(
+  const std::vector<std::exception_ptr> shardErrors = exec.forEachAll(
       tasks.size(),
       [&](std::size_t t) {
         const ShardTask& st = tasks[t];
-        Design& d = designs[st.design];
-        const sync::CosimOptions& base = optsOf[st.design];
-        const sync::CosimOptions o = parts[st.design].size() > 1
-                                         ? sync::cosimShardOptions(base,
-                                                                   st.shard)
-                                         : base;
         const auto t0 = std::chrono::steady_clock::now();
-        sync::CosimResult r;
-        if (const sync::WrapperConfig* cfg = d.wrapperConfig()) {
-          r = sync::cosimWrapper(*d.wrapper(), *cfg, o);
-        } else {
-          r = sync::cosimSystem(*d.system(), *d.systemSpec(), o);
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        shardSeconds[t] = std::chrono::duration<double>(t1 - t0).count();
-        parts[st.design][st.shard] = std::move(r);
+        parts[st.design][st.lane] =
+            cosimOracle(designs[st.design], traces[st.design], st.lane);
+        shardSeconds[t] = secondsSince(t0);
       },
       nullptr, "cosim.shards");
-
-  std::vector<std::string> shardError(designs.size());
-  std::vector<char> shardFailed(designs.size(), 0);
-  for (std::size_t t = 0; t < errors.size(); ++t) {
-    if (errors[t] == nullptr) continue;
+  std::vector<double> oracleSeconds(designs.size(), 0.0);
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
     const std::size_t i = tasks[t].design;
-    if (shardFailed[i]) continue;
-    shardFailed[i] = 1;
-    try {
-      std::rethrow_exception(errors[t]);
-    } catch (const std::exception& e) {
-      shardError[i] = e.what();
-    } catch (...) {
-      shardError[i] = "unknown exception";
+    oracleSeconds[i] += shardSeconds[t];
+    if (shardErrors[t] != nullptr && failure[i] == nullptr) {
+      failure[i] = shardErrors[t];
     }
   }
 
-  // Join per design in index order, replaying exactly what Cosim::run
+  // Join per design in index order, recording exactly what Cosim::run
   // would have recorded (metrics, design artifacts, error wording).
-  std::vector<double> designSeconds(designs.size(), 0.0);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    designSeconds[tasks[t].design] += shardSeconds[t];
-  }
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    if (!active[i]) continue;
+  for (const std::size_t i : active) {
     Design& d = designs[i];
     PassRecord rec;
     rec.name = pass.name();
-    rec.seconds = designSeconds[i];
-    PassContext ctx(rec.name, results[i].diagnostics, rec.metrics, &exec,
-                    optsOf[i].cancel);
+    rec.seconds = gateSeconds[i] + oracleSeconds[i];
+    PassContext ctx(rec, results[i].diagnostics, &exec, optsOf[i].cancel);
     obs::Span span("pass:" + rec.name);
     span.arg("design", d.name());
-    if (shardFailed[i]) {
-      ctx.error(shardError[i]);
-    } else {
-      sync::CosimResult r =
-          parts[i].size() > 1 ? sync::cosimMergeShards(std::move(parts[i]))
-                              : std::move(parts[i].front());
-      ctx.metric("cycles", static_cast<double>(r.cyclesRun));
-      ctx.metric("fires", static_cast<double>(r.fires));
-      ctx.metric("tokens", static_cast<double>(r.tokens));
-      d.metrics().set("cosim.cycles", static_cast<double>(r.cyclesRun));
-      d.metrics().set("cosim.fires", static_cast<double>(r.fires));
-      d.metrics().set("cosim.tokens", static_cast<double>(r.tokens));
-      const bool ok = r.ok;
-      const bool cancelled = r.cancelled;
-      const std::string mismatch = r.mismatch;
-      d.setCosimResult(std::move(r));
-      if (cancelled) {
-        ctx.error("co-simulation cancelled: " + mismatch);
-      } else if (!ok) {
-        ctx.error("co-simulation mismatch: " + mismatch);
+    if (failure[i] != nullptr) {
+      try {
+        std::rethrow_exception(failure[i]);
+      } catch (const std::exception& e) {
+        ctx.error(e.what());
+      } catch (...) {
+        ctx.error("unknown exception");
       }
+    } else {
+      recordCosim(d, ctx, sync::cosimMergeShards(std::move(parts[i])),
+                  traces[i].gatePasses, gateSeconds[i], oracleSeconds[i]);
     }
     if (deadlineOf[i] != nullptr && deadlineOf[i]->cancelled() &&
         !ctx.failed()) {
@@ -934,6 +967,16 @@ const PassRecord* Pipeline::record(const std::string& passName) const {
 
 namespace {
 
+void emitPairs(std::ostream& os,
+               const std::vector<std::pair<std::string, double>>& pairs) {
+  os << "{";
+  for (std::size_t m = 0; m < pairs.size(); ++m) {
+    os << (m == 0 ? "" : ", ") << "\"" << pairs[m].first
+       << "\": " << pairs[m].second;
+  }
+  os << "}";
+}
+
 std::string emitRunJson(bool ok, const std::vector<PassRecord>& records,
                         const std::vector<Diagnostic>& diagnostics) {
   std::ostringstream os;
@@ -942,12 +985,13 @@ std::string emitRunJson(bool ok, const std::vector<PassRecord>& records,
     const PassRecord& rec = records[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << rec.name
        << "\", \"seconds\": " << rec.seconds
-       << ", \"ok\": " << (rec.ok ? "true" : "false") << ", \"metrics\": {";
-    for (std::size_t m = 0; m < rec.metrics.size(); ++m) {
-      os << (m == 0 ? "" : ", ") << "\"" << rec.metrics[m].first
-         << "\": " << rec.metrics[m].second;
+       << ", \"ok\": " << (rec.ok ? "true" : "false") << ", \"metrics\": ";
+    emitPairs(os, rec.metrics);
+    if (!rec.timings.empty()) {
+      os << ", \"timings\": ";
+      emitPairs(os, rec.timings);
     }
-    os << "}}";
+    os << "}";
   }
   os << "\n  ],\n  \"diagnostics\": [";
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {

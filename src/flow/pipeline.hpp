@@ -28,12 +28,12 @@
 // order, so serial (--jobs 1) and parallel runs emit byte-identical JSON
 // and logs. Passes additionally split *inside* one design when the
 // context carries an Executor: ProveEncodingEquiv proves each FSM spec as
-// its own subtask, Cosim fans its seed shards out, both joining
-// deterministically by index. Pass objects must therefore be reentrant —
-// run() may execute concurrently for different designs; the standard
-// passes are stateless options-only structs. Diagnostics and metrics must
-// only be emitted from the pass's own task (after any subtask join), never
-// from inside a parallelFor body.
+// its own subtask, Cosim fans its seed shards' oracle replays out, both
+// joining deterministically by index. Pass objects must therefore be
+// reentrant — run() may execute concurrently for different designs; the
+// standard passes are stateless options-only structs. Diagnostics and
+// metrics must only be emitted from the pass's own task (after any subtask
+// join), never from inside a parallelFor body.
 
 #include <cstddef>
 #include <functional>
@@ -65,6 +65,20 @@ struct Diagnostic {
   std::string message;
 };
 
+struct PassRecord {
+  std::string name;
+  /// Wall time of the pass. Exception: under runMany's batched cosim
+  /// schedule the cosim record's seconds is the design's summed gate +
+  /// oracle busy time (its gate task plus its shard replays), because
+  /// those run interleaved with other designs' work.
+  double seconds = 0;
+  bool ok = false;
+  std::vector<std::pair<std::string, double>> metrics;
+  /// Wall-clock breakdowns (PassContext::timing), e.g. cosim's gate_s and
+  /// oracle_s. Never deterministic; emitted in JSON only when present.
+  std::vector<std::pair<std::string, double>> timings;
+};
+
 /// The error/diagnostic and metric channel handed to each pass.
 class PassContext {
 public:
@@ -73,7 +87,11 @@ public:
   /// Marks the pass (and the pipeline run) as failed.
   void error(std::string message);
   /// Named numeric result, kept in the pass record and emitted as JSON.
+  /// Metrics are deterministic: equal at any job count and across runs.
   void metric(std::string key, double value);
+  /// Named wall-clock breakdown (seconds) of the pass, kept apart from
+  /// the metrics in PassRecord::timings because it differs run to run.
+  void timing(std::string key, double seconds);
   bool failed() const { return failed_; }
 
   /// Executor for intra-pass subtask fan-out; null in a plain run().
@@ -92,15 +110,14 @@ public:
 
 private:
   friend class Pipeline;
-  PassContext(std::string pass, std::vector<Diagnostic>& diags,
-              std::vector<std::pair<std::string, double>>& metrics,
+  PassContext(PassRecord& rec, std::vector<Diagnostic>& diags,
               Executor* exec, const support::CancellationToken* cancel)
-      : pass_(std::move(pass)), diags_(&diags), metrics_(&metrics),
-        exec_(exec), cancel_(cancel) {}
+      : pass_(rec.name), diags_(&diags), rec_(&rec), exec_(exec),
+        cancel_(cancel) {}
 
   std::string pass_;
   std::vector<Diagnostic>* diags_;
-  std::vector<std::pair<std::string, double>>* metrics_;
+  PassRecord* rec_;
   Executor* exec_ = nullptr;
   const support::CancellationToken* cancel_ = nullptr;
   bool failed_ = false;
@@ -111,13 +128,6 @@ public:
   virtual ~Pass() = default;
   virtual std::string name() const = 0;
   virtual void run(Design& design, PassContext& ctx) = 0;
-};
-
-struct PassRecord {
-  std::string name;
-  double seconds = 0;
-  bool ok = false;
-  std::vector<std::pair<std::string, double>> metrics;
 };
 
 /// One design's buffered pipeline outcome, as produced by runMany: the
@@ -195,7 +205,7 @@ public:
   std::string name() const override { return "cosim"; }
   void run(Design& design, PassContext& ctx) override;
   /// The pass's base options — read by runMany's batched-cosim scheduler,
-  /// which re-derives the per-shard options itself.
+  /// which runs the gate and oracle phases itself.
   const sync::CosimOptions& options() const { return options_; }
 
 private:
@@ -342,12 +352,14 @@ public:
   /// exception) yields a failure RunResult while every other design still
   /// completes.
   ///
-  /// When the last pass is Cosim, its shards are *batched*: every design
-  /// first runs the preceding passes ("flow.designs"), then the cosim
-  /// shards of all surviving designs flatten into one "cosim.shards"
-  /// fan-out, so a design finishing early donates its idle slots to the
-  /// stragglers' shards. Results are joined per design in shard order and
-  /// are bit-identical to the per-design in-pass sharding.
+  /// When the last pass is Cosim, it is *batched*: every design first
+  /// runs the preceding passes ("flow.designs"), then each surviving
+  /// design runs its cosim gate phase, all of a design's shards in one
+  /// lane-packed simulation ("cosim.gate", one task per design), and
+  /// finally the oracle replays of every shard of every design flatten
+  /// into one "cosim.shards" fan-out, so a design finishing early donates
+  /// its idle slots to the stragglers' shards. Results are joined per
+  /// design in shard order and are bit-identical to Cosim::run.
   std::vector<RunResult> runMany(std::vector<Design>& designs,
                                  Executor& exec);
   /// Convenience: runMany on a fresh Executor(jobs).

@@ -20,11 +20,17 @@ std::uint64_t reachableDepth(std::uint64_t depth, std::size_t addrBits) {
 
 BitSim::BitSim(const Netlist& nl, unsigned numWords)
     : nl_(&nl), numWords_(numWords) {
+  static_assert(sizeof(Instr) == 16, "settle streams 16-byte instructions");
   if (numWords == 0) {
     throw std::invalid_argument("BitSim: numWords must be >= 1");
   }
   values_.assign(nl.nodeCount() * std::size_t{numWords_}, 0);
   dffNext_.assign(nl.dffs().size() * std::size_t{numWords_}, 0);
+  latches_.reserve(nl.dffs().size());
+  for (NodeId id : nl.dffs()) {
+    const Node& n = nl.node(id);
+    latches_.push_back({id, n.fanin[0], n.hasEnable ? n.fanin[1] : kNoNode});
+  }
 
   const std::vector<NodeId> order = nl.topoOrder();
   instrs_.reserve(order.size());
@@ -38,9 +44,9 @@ BitSim::BitSim(const Netlist& nl, unsigned numWords)
     ins.op = n.op;
     ins.dst = id;
     ins.faninBegin = static_cast<std::uint32_t>(fanins_.size());
-    ins.faninCount = static_cast<std::uint32_t>(n.fanin.size());
+    ins.faninCount = static_cast<std::uint8_t>(n.fanin.size());
     ins.romId = n.romId;
-    ins.romBit = n.romBit;
+    ins.romBit = static_cast<std::uint8_t>(n.romBit);
     ins.romBitSliced = false;
     if (n.op == Op::RomBit) {
       // Shallow ROMs: bit-sliced minterm OR beats a 64-iteration lane
@@ -87,6 +93,16 @@ void BitSim::setInput(NodeId input, std::span<const std::uint64_t> words) {
     throw std::invalid_argument("BitSim::setInput: word count mismatch");
   }
   std::copy(words.begin(), words.end(), val(input));
+}
+
+void BitSim::setInputLane(NodeId input, std::size_t lane, bool value) {
+  checkInput(input);
+  if (lane >= numPatterns()) {
+    throw std::out_of_range("BitSim::setInputLane: lane index");
+  }
+  std::uint64_t& w = val(input)[lane / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
+  w = value ? (w | bit) : (w & ~bit);
 }
 
 void BitSim::setInputAll(NodeId input, bool value) {
@@ -182,12 +198,51 @@ BitSim::~BitSim() {
 
 void BitSim::settle() {
   ++settlePasses_;
-  const unsigned W = numWords_;
+  eval(instrs_.data(), instrs_.data() + instrs_.size());
+}
+
+void BitSim::settleCone(const Cone& c) {
+  eval(c.instrs_.data(), c.instrs_.data() + c.instrs_.size());
+}
+
+BitSim::Cone BitSim::cone(std::span<const NodeId> roots) const {
+  std::vector<char> in(nl_->nodeCount(), 0);
+  std::vector<NodeId> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    if (in[id] != 0) continue;
+    in[id] = 1;
+    const Node& n = nl_->node(id);
+    if (n.op == Op::Dff) continue; // state: a source of the settle pass
+    stack.insert(stack.end(), n.fanin.begin(), n.fanin.end());
+  }
+  Cone c;
+  for (const Instr& ins : instrs_) {
+    if (in[ins.dst] != 0) c.instrs_.push_back(ins);
+  }
+  return c;
+}
+
+void BitSim::eval(const Instr* begin, const Instr* end) {
+  // One-word simulators (scalar views, single-word cosim) get a loop with
+  // the word count folded to a constant.
+  if (numWords_ == 1) {
+    evalWords<1>(begin, end);
+  } else {
+    evalWords<0>(begin, end);
+  }
+}
+
+template <unsigned kWords>
+void BitSim::evalWords(const Instr* begin, const Instr* end) {
+  const unsigned W = kWords != 0 ? kWords : numWords_;
   std::uint64_t* const v = values_.data();
   const NodeId* const fan = fanins_.data();
   const bool faulted = forceCount_ != 0;
   if (faulted) applySourceForces();
-  for (const Instr& ins : instrs_) {
+  for (const Instr* it = begin; it != end; ++it) {
+    const Instr& ins = *it;
     std::uint64_t* dst = v + std::size_t{ins.dst} * W;
     if (faulted && force_[ins.dst] != kNoForce) {
       std::fill_n(dst, W, force_[ins.dst] != 0 ? kAllLanes : 0);
@@ -242,15 +297,19 @@ void BitSim::settle() {
 }
 
 void BitSim::clock() {
+  latch();
+  settle();
+}
+
+void BitSim::latch() {
   const unsigned W = numWords_;
-  const std::vector<NodeId>& dffs = nl_->dffs();
-  for (std::size_t k = 0; k < dffs.size(); ++k) {
-    const Node& n = nl_->node(dffs[k]);
-    const std::uint64_t* q = val(dffs[k]);
-    const std::uint64_t* d = val(n.fanin[0]);
+  for (std::size_t k = 0; k < latches_.size(); ++k) {
+    const Latch& l = latches_[k];
+    const std::uint64_t* q = val(l.q);
+    const std::uint64_t* d = val(l.d);
     std::uint64_t* next = dffNext_.data() + k * W;
-    if (n.hasEnable) {
-      const std::uint64_t* en = val(n.fanin[1]);
+    if (l.enable != kNoNode) {
+      const std::uint64_t* en = val(l.enable);
       for (unsigned w = 0; w < W; ++w) {
         next[w] = (d[w] & en[w]) | (q[w] & ~en[w]);
       }
@@ -258,10 +317,9 @@ void BitSim::clock() {
       for (unsigned w = 0; w < W; ++w) next[w] = d[w];
     }
   }
-  for (std::size_t k = 0; k < dffs.size(); ++k) {
-    std::copy_n(dffNext_.data() + k * W, W, val(dffs[k]));
+  for (std::size_t k = 0; k < latches_.size(); ++k) {
+    std::copy_n(dffNext_.data() + k * W, W, val(latches_[k].q));
   }
-  settle();
 }
 
 std::uint64_t BitSim::busValue(std::span<const NodeId> bus,

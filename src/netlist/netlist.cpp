@@ -232,34 +232,43 @@ std::vector<std::uint32_t> Netlist::fanoutCounts() const {
 std::vector<NodeId> Netlist::topoOrder() const {
   // Combinational dependencies only: a Dff breaks the cycle (its output is
   // available at the start of the cycle; its fanins are sinks).
-  std::vector<std::uint32_t> pending(nodes_.size(), 0);
-  std::vector<std::vector<NodeId>> consumers(nodes_.size());
+  // Kahn's algorithm over a flat (CSR) consumer table: node f's
+  // combinational consumers, in ascending id order, are
+  // consumers[first[f] .. first[f + 1]).
+  const std::size_t n = nodes_.size();
+  const auto isSource = [](const Node& node) {
+    return node.op == Op::Input || node.op == Op::Dff ||
+           node.op == Op::Const0 || node.op == Op::Const1;
+  };
+  std::vector<std::uint32_t> pending(n, 0);
+  std::vector<std::uint32_t> first(n + 1, 0);
   std::vector<NodeId> ready;
-
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    const bool isSource =
-        n.op == Op::Input || n.op == Op::Dff || n.op == Op::Const0 ||
-        n.op == Op::Const1;
-    if (isSource) {
+  for (NodeId id = 0; id < n; ++id) {
+    const Node& node = nodes_[id];
+    if (isSource(node)) {
       ready.push_back(id);
       continue;
     }
-    pending[id] = static_cast<std::uint32_t>(n.fanin.size());
-    for (NodeId f : n.fanin) consumers[f].push_back(id);
-    if (n.fanin.empty()) ready.push_back(id);
+    pending[id] = static_cast<std::uint32_t>(node.fanin.size());
+    for (NodeId f : node.fanin) ++first[f + 1];
+    if (node.fanin.empty()) ready.push_back(id);
+  }
+  for (std::size_t i = 0; i < n; ++i) first[i + 1] += first[i];
+  std::vector<NodeId> consumers(first[n]);
+  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+  for (NodeId id = 0; id < n; ++id) {
+    if (isSource(nodes_[id])) continue;
+    for (NodeId f : nodes_[id].fanin) consumers[fill[f]++] = id;
   }
 
   std::vector<NodeId> order;
-  order.reserve(nodes_.size());
+  order.reserve(n);
   std::size_t head = 0;
   while (head < ready.size()) {
     const NodeId id = ready[head++];
     order.push_back(id);
-    for (NodeId c : consumers[id]) {
-      // Dffs are sources (already in ready); never re-add them.
-      if (nodes_[c].op == Op::Dff) continue;
-      if (--pending[c] == 0) ready.push_back(c);
+    for (std::uint32_t k = first[id]; k < first[id + 1]; ++k) {
+      if (--pending[consumers[k]] == 0) ready.push_back(consumers[k]);
     }
   }
   // Dff fanins must still be combinationally reachable; check all

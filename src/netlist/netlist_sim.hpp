@@ -1,7 +1,9 @@
 #pragma once
-// NetlistSim: cycle-accurate scalar simulator for the gate-level IR. Used to
-// co-simulate synthesized wrappers against their behavioural models — the
-// main correctness oracle of the synthesis flow.
+// NetlistSim: cycle-accurate scalar simulator for the gate-level IR, for
+// single-pattern callers: the fault campaigns' lockstep golden/faulted
+// pair, counterexample-trace replay (sat::replayTrace) and unit tests.
+// Co-simulation does not use it: it packs every seed shard into a lane of
+// one multi-word BitSim instead (see lis/cosim.hpp).
 //
 // Since the 64-way engine landed, this is a thin single-pattern view over
 // lane 0 of a one-word BitSim: same semantics as the historical scalar

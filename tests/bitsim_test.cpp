@@ -176,6 +176,56 @@ void testSequentialParity() {
   }
 }
 
+void testLatchAndCone() {
+  // latch() + settleCone(cone(outputs)) must leave every output exactly
+  // where clock() (latch + full settle) would — in every lane of a
+  // multi-word simulator, across many cycles of random stimulus — and
+  // count no extra settle pass.
+  for (std::uint64_t seed : {6, 7}) {
+    const Netlist nl = gen::randomSeq(6, 120, 12, 6, seed);
+    BitSim full(nl, 2);
+    BitSim coned(nl, 2);
+    const BitSim::Cone outs = coned.cone(nl.outputs());
+    CHECK(outs.size() > 0);
+    CHECK(outs.size() <= nl.nodeCount());
+    SplitMix64 rng(seed + 200);
+    int mismatches = 0;
+    for (unsigned cycle = 0; cycle < 100; ++cycle) {
+      for (NodeId in : nl.inputs()) {
+        for (unsigned w = 0; w < 2; ++w) {
+          const std::uint64_t lanes = rng.next();
+          full.setInputWord(in, w, lanes);
+          coned.setInputWord(in, w, lanes);
+        }
+      }
+      full.settle();
+      coned.settle();
+      full.clock();
+      coned.latch();
+      coned.settleCone(outs);
+      for (NodeId id : nl.outputs()) {
+        for (unsigned w = 0; w < 2; ++w) {
+          if (full.word(id, w) != coned.word(id, w)) ++mismatches;
+        }
+      }
+      for (NodeId id : nl.dffs()) {
+        for (unsigned w = 0; w < 2; ++w) {
+          if (full.word(id, w) != coned.word(id, w)) ++mismatches;
+        }
+      }
+    }
+    CHECK_EQ(mismatches, 0);
+    CHECK_EQ(coned.settlePasses(), 1u + 100u);
+    CHECK_EQ(full.settlePasses(), 1u + 200u);
+  }
+
+  // A DFF-only root has an empty cone: its value is the latched state.
+  const Netlist nl = gen::randomSeq(3, 20, 4, 2, 9);
+  BitSim sim(nl, 1);
+  const std::vector<NodeId> dff{nl.dffs().front()};
+  CHECK_EQ(sim.cone(dff).size(), 0u);
+}
+
 void testApi() {
   const Netlist nl = gen::randomDag(4, 10, 2, 1);
   CHECK_THROWS(BitSim(nl, 0), std::invalid_argument);
@@ -197,6 +247,13 @@ void testApi() {
   CHECK(!bits.lane(in0, 129));
   CHECK(bits.lane(in0, 130));
 
+  bits.setInputLane(in0, 129, true);
+  bits.setInputLane(in0, 130, false);
+  CHECK_EQ(bits.word(in0, 2), 0x3ull);
+  CHECK_THROWS(bits.setInputLane(in0, 192, true), std::out_of_range);
+  CHECK_THROWS(bits.setInputLane(nl.outputs()[0], 0, true),
+               std::invalid_argument);
+
   const std::vector<NodeId> tooWide(65, in0);
   CHECK_THROWS(bits.busValue(tooWide, 0), std::invalid_argument);
 }
@@ -206,6 +263,7 @@ void testApi() {
 int main() {
   testCombParity();
   testSequentialParity();
+  testLatchAndCone();
   testApi();
   return testExit();
 }

@@ -5,6 +5,7 @@
 // diagnostics ordering at --jobs 1 and --jobs 8.
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -225,40 +226,158 @@ void testBuildSystemRunnerInvariance() {
   checkSameNetlist(plain.netlist, viaPoolAgain.netlist);
 }
 
-void testShardedCosimReproducible() {
-  lis::sync::WrapperConfig cfg;
-  cfg.numInputs = 2;
-  cfg.numOutputs = 1;
-  const lis::sync::Wrapper w = lis::sync::buildWrapper(cfg);
+/// A CosimResult pinned field by field.
+struct CosimGolden {
+  bool ok;
+  bool cancelled;
+  std::uint64_t cycles;
+  std::uint64_t fires;
+  std::uint64_t tokens;
+  std::vector<std::uint64_t> perOutput;
+  const char* mismatch;
+};
 
-  lis::sync::CosimOptions opts;
-  opts.cycles = 1200;
-  opts.shards = 4;
-  const lis::sync::CosimResult serial = lis::sync::cosimWrapper(w, cfg, opts);
-  CHECK(serial.ok);
-  CHECK_EQ(serial.cyclesRun, 1200u);
+void checkCosim(const lis::sync::CosimResult& r, const CosimGolden& g) {
+  CHECK_EQ(r.ok, g.ok);
+  CHECK_EQ(r.cancelled, g.cancelled);
+  CHECK_EQ(r.cyclesRun, g.cycles);
+  CHECK_EQ(r.fires, g.fires);
+  CHECK_EQ(r.tokens, g.tokens);
+  CHECK_EQ(r.tokensPerOutput.size(), g.perOutput.size());
+  for (std::size_t j = 0;
+       j < r.tokensPerOutput.size() && j < g.perOutput.size(); ++j) {
+    CHECK_EQ(r.tokensPerOutput[j], g.perOutput[j]);
+  }
+  if (r.mismatch != g.mismatch) {
+    std::printf("  mismatch text: \"%s\" expected \"%s\"\n",
+                r.mismatch.c_str(), g.mismatch);
+  }
+  CHECK(r.mismatch == g.mismatch);
+}
 
-  // Same options with the shard fan-out on a pool: identical outcome.
+/// Runs `cosim` with opts as given (shards serially) and again with the
+/// shard fan-out on a pool; both must reproduce the pinned result.
+template <class Cosim>
+void checkCosimBothWays(lis::sync::CosimOptions opts, const CosimGolden& g,
+                        Cosim&& cosim) {
+  opts.runner = nullptr;
+  checkCosim(cosim(opts), g);
   Executor pool(4);
   opts.runner = [&](std::size_t n,
                     const std::function<void(std::size_t)>& f) {
     pool.forEach(n, f);
   };
-  const lis::sync::CosimResult parallel =
-      lis::sync::cosimWrapper(w, cfg, opts);
-  CHECK(parallel.ok);
-  CHECK_EQ(parallel.cyclesRun, serial.cyclesRun);
-  CHECK_EQ(parallel.fires, serial.fires);
-  CHECK_EQ(parallel.tokens, serial.tokens);
-  CHECK_EQ(parallel.tokensPerOutput.size(), serial.tokensPerOutput.size());
-  for (std::size_t j = 0; j < serial.tokensPerOutput.size(); ++j) {
-    CHECK_EQ(parallel.tokensPerOutput[j], serial.tokensPerOutput[j]);
-  }
+  checkCosim(cosim(opts), g);
+}
 
-  // Sharded and unsharded runs are *different* experiments (independent
-  // from-reset slices vs one long run) — but each is self-reproducible.
-  const lis::sync::CosimResult again = lis::sync::cosimWrapper(w, cfg, opts);
-  CHECK_EQ(again.tokens, parallel.tokens);
+void testCosimGoldenResults() {
+  // Results of the per-shard scalar drive loop that lane-packed cosim
+  // replaced, pinned field by field: packing the shards into simulator
+  // lanes must not move a single counter.
+  using lis::sync::CosimOptions;
+  lis::sync::WrapperConfig cfg;
+  cfg.numInputs = 2;
+  cfg.numOutputs = 1;
+  const lis::sync::Wrapper w = lis::sync::buildWrapper(cfg);
+  const auto wrapper = [&](const CosimOptions& o) {
+    return lis::sync::cosimWrapper(w, cfg, o);
+  };
+  CosimOptions o;
+  o.cycles = 1200;
+  o.shards = 1;
+  checkCosimBothWays(o, {true, false, 1200, 645, 645, {645}, ""}, wrapper);
+  o.shards = 4;
+  checkCosimBothWays(o, {true, false, 1200, 649, 645, {645}, ""}, wrapper);
+
+  // Uneven cycle slices (1001 % shards != 0).
+  const lis::sync::SystemSpec ring =
+      lis::sync::ringSpec(lis::sync::Encoding::Binary);
+  const lis::sync::System ringSys = lis::sync::buildSystem(ring);
+  const auto ringCosim = [&](const CosimOptions& opts) {
+    return lis::sync::cosimSystem(ringSys, ring, opts);
+  };
+  o.cycles = 1001;
+  o.shards = 3;
+  checkCosimBothWays(o, {true, false, 1001, 963, 481, {481}, ""}, ringCosim);
+  o.shards = 8;
+  checkCosimBothWays(o, {true, false, 1001, 947, 470, {470}, ""}, ringCosim);
+
+  // 65 shards: the last lane sits alone in a second simulator word.
+  const lis::sync::SystemSpec mesh =
+      lis::sync::meshSpec(4, 4, 1, lis::sync::Encoding::Binary);
+  const lis::sync::System meshSys = lis::sync::buildSystem(mesh);
+  o.cycles = 65 * 20 + 7;
+  o.shards = 65;
+  checkCosimBothWays(
+      o,
+      {true, false, 1307, 9039, 3322,
+       {495, 445, 393, 335, 487, 435, 389, 343}, ""},
+      [&](const CosimOptions& opts) {
+        return lis::sync::cosimSystem(meshSys, mesh, opts);
+      });
+}
+
+void testCosimMismatchAndCancel() {
+  using lis::sync::CosimOptions;
+  const lis::sync::SystemSpec spec =
+      lis::sync::chainSpec(4, 1, lis::sync::Encoding::Binary);
+  const auto cosimOf = [&spec](const lis::sync::System& sys) {
+    return [&sys, &spec](const CosimOptions& o) {
+      return lis::sync::cosimSystem(sys, spec, o);
+    };
+  };
+  CosimOptions o;
+  o.cycles = 32;
+  o.shards = 4;
+
+  // Bit 0 of the output data bus re-pointed at bit 1's Output node. Shard
+  // 0 completes clean (8 cycles, 21 fires, 2 tokens); shard 1 fails at
+  // its cycle 5; the merge stops there, so shard 2's own mismatch and
+  // shard 3's token are discarded.
+  lis::sync::System badData = lis::sync::buildSystem(spec);
+  badData.ports.outData[0][0] = badData.ports.outData[0][1];
+  const CosimGolden dataGolden{
+      false, false, 13, 21, 2, {2},
+      "cycle 5: out0_data: gate=0x10 behavioural=0x11"};
+  checkCosimBothWays(o, dataGolden, cosimOf(badData));
+
+  // The same shard, seen on its own: 5 cycles, no fires credited.
+  checkCosim(lis::sync::cosimSystem(badData, spec,
+                                    lis::sync::cosimShardOptions(o, 1)),
+             {false, false, 5, 0, 0, {0},
+              "cycle 5: out0_data: gate=0x10 behavioural=0x11"});
+
+  // Valid and stop mismatches name their ports the same way.
+  lis::sync::System badValid = lis::sync::buildSystem(spec);
+  badValid.ports.outValid[0] = badValid.ports.inStop[0];
+  checkCosimBothWays(o, {false, false, 5, 0, 0, {0},
+                         "cycle 5: out0_valid: gate=0 behavioural=1"},
+                     cosimOf(badValid));
+  lis::sync::System badStop = lis::sync::buildSystem(spec);
+  badStop.ports.inStop[0] = badStop.ports.outValid[0];
+  checkCosimBothWays(o, {false, false, 5, 0, 0, {0},
+                         "cycle 5: in0_stop: gate=1 behavioural=0"},
+                     cosimOf(badStop));
+  CosimOptions single = o;
+  single.shards = 1;
+  single.cycles = 300;
+  checkCosim(cosimOf(badStop)(single),
+             {false, false, 5, 0, 0, {0},
+              "cycle 5: in0_stop: gate=1 behavioural=0"});
+
+  // A pre-tripped token cancels at cycle 0 of the first shard; an
+  // untripped one changes nothing.
+  lis::support::CancellationToken tripped;
+  tripped.cancel();
+  o.cancel = &tripped;
+  const CosimGolden cancelled{false, true, 0, 0, 0, {0},
+                              "cycle 0: cancelled (deadline exceeded)"};
+  checkCosimBothWays(o, cancelled, cosimOf(badData));
+  const lis::sync::System clean = lis::sync::buildSystem(spec);
+  checkCosimBothWays(o, cancelled, cosimOf(clean));
+  lis::support::CancellationToken live;
+  o.cancel = &live;
+  checkCosimBothWays(o, dataGolden, cosimOf(badData));
 }
 
 /// reportJson up to the stage_seconds table (the only wall-clock-derived
@@ -553,6 +672,15 @@ void testTraceStructureJobsInvariant() {
   CHECK(serial.at("flow.designs/task") >= 2);
   CHECK(serial.count("pass:synthesize-control") == 1);
   CHECK(serial.at("cosim.shards") >= 1);
+  // Cosim: one lane-packed gate phase per design, one oracle replay per
+  // seed shard of each.
+  const std::size_t designs = serial.at("flow.designs/task");
+  CHECK(serial.count("cosim.gate/task") == 1 &&
+        serial.at("cosim.gate/task") == designs);
+  CHECK(serial.count("cosim.oracle") == 1 &&
+        serial.at("cosim.oracle") == designs * lis::bench::kCosimShards);
+  CHECK(serial.count("cosim.shards/task") == 1 &&
+        serial.at("cosim.shards/task") == serial.at("cosim.oracle"));
   CHECK(serial.at("buildWrapper") >= 1);
 
   // The export is well-formed JSON-ish output with the canonical header.
@@ -570,7 +698,8 @@ int main() {
   testDesignLatchesUnderContention();
   testSynthCacheConcurrent();
   testBuildSystemRunnerInvariance();
-  testShardedCosimReproducible();
+  testCosimGoldenResults();
+  testCosimMismatchAndCancel();
   testRunManyJobs1VsJobs8();
   testRunManySweepSection();
   testRunManyOptPipeline();

@@ -67,6 +67,25 @@ void testWrapperPipelineHappyPath() {
   CHECK(d.cosimResult() != nullptr);
   CHECK(d.cosimResult()->ok);
   CHECK_EQ(d.cosimResult()->cyclesRun, 800u);
+  // One gate settle pass per cycle plus the reset settle; the wall-clock
+  // split of the pass lives in the record's timings, not its metrics.
+  bool sawPasses = false;
+  for (const auto& [key, value] : cos->metrics) {
+    CHECK(key != "gate_s" && key != "oracle_s");
+    if (key == "gate_passes") {
+      sawPasses = true;
+      CHECK_EQ(value, 801.0);
+    }
+  }
+  CHECK(sawPasses);
+  CHECK_EQ(d.metrics().value("cosim.gate_passes"), 801.0);
+  CHECK_EQ(cos->timings.size(), 2u);
+  if (cos->timings.size() == 2) {
+    CHECK(cos->timings[0].first == "gate_s");
+    CHECK(cos->timings[1].first == "oracle_s");
+    CHECK(cos->timings[0].second > 0.0);
+    CHECK(cos->timings[1].second > 0.0);
+  }
 
   // Wall times are recorded per artifact stage.
   CHECK(d.stageSeconds("synthesize") > 0.0);
@@ -90,6 +109,7 @@ void testWrapperPipelineHappyPath() {
   CHECK(contains(js, "\"ok\": true"));
   CHECK(contains(js, "\"map-luts\""));
   CHECK(contains(js, "\"fmax_mhz\""));
+  CHECK(contains(js, "\"timings\": {\"gate_s\": "));
 }
 
 void testLazyCachingAndRemap() {
