@@ -482,6 +482,14 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
   m.set("pdr.frames", static_cast<double>(r.totalFrames()));
   m.set("pdr.clauses", static_cast<double>(r.totalClauses()));
   m.set("pdr.induction_k", static_cast<double>(r.maxInductionK()));
+  // Largest per-property sequential cone the engine ran on.
+  std::uint64_t coneDffs = 0, coneAnds = 0;
+  for (const sat::PdrPropertyResult& p : r.properties) {
+    coneDffs = std::max(coneDffs, p.engine.coneDffs);
+    coneAnds = std::max(coneAnds, p.engine.coneAnds);
+  }
+  m.set("pdr.cone_dffs", static_cast<double>(coneDffs));
+  m.set("pdr.cone_ands", static_cast<double>(coneAnds));
   m.add("sat.conflicts", static_cast<double>(r.stats.conflicts));
   m.add("sat.decisions", static_cast<double>(r.stats.decisions));
   m.add("sat.propagations", static_cast<double>(r.stats.propagations));
@@ -498,8 +506,8 @@ void ProveUnbounded::run(Design& design, PassContext& ctx) {
     m.set("pdr." + p.name + "_proved", p.provedUnbounded ? 1.0 : 0.0);
     if (!p.violated) continue;
     // Cross-validate the counterexample before reporting it: replay
-    // the trace on the netlist simulator with exact token accounting
-    // (independent of the SAT monitor's saturating encoding).
+    // the trace on the netlist simulator against a software mirror of
+    // the monitor (independent of the SAT encoding).
     sat::ReplayOptions ro;
     ro.capacityBound = opts.capacityBound;
     ro.watchdogWindow = opts.watchdogWindow;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <queue>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "aig/bridge.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/netlist_sim.hpp"
 #include "obs/trace.hpp"
 
@@ -49,8 +51,8 @@ void accumulate(SolverStats& into, const SolverStats& s) {
 // cycle and clamping only engages *at* a rail — so the first rail hit of
 // either kind is cycle-exact, which is all a G-property proof needs.
 // (Past the first violation the clamped registers diverge from the true
-// difference; counterexample traces are therefore cross-validated by the
-// exact-arithmetic cosim replay below.)
+// difference; the counterexample replay below therefore mirrors the same
+// saturating offsets in software rather than counting exactly.)
 
 struct Monitor {
   Netlist nl;
@@ -816,21 +818,41 @@ private:
   std::vector<Lit> act_;                  // frame activation literals
 };
 
-PdrPropertyResult runEngine(const aig::SequentialAig& sa, NodeId badOut,
-                            std::vector<ForcedInput> forced,
-                            const PdrOptions& opts, SolverStats& statsOut) {
-  return Engine(sa, badOut, std::move(forced), opts, statsOut).run();
-}
-
 } // namespace
 
+// Both rungs run on the sequential cone of `badOut` alone: state and
+// logic the output can never observe would only widen every frame of
+// the unrolling and every consecution query. Forced inputs outside the
+// cone are dropped; the trace names the caller's input ids.
 PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
-                                         netlist::NodeId badOutput,
+                                         netlist::NodeId badOut,
                                          std::vector<ForcedInput> forced,
                                          const PdrOptions& opts,
                                          SolverStats& statsOut) {
-  const aig::SequentialAig sa = aig::fromNetlist(nl);
-  return runEngine(sa, badOutput, std::move(forced), opts, statsOut);
+  for (const ForcedInput& f : forced) {
+    if (f.input >= nl.nodeCount() ||
+        nl.node(f.input).op != netlist::Op::Input) {
+      throw std::invalid_argument(
+          "sat::provePropertyUnbounded: forced node is not an input");
+    }
+  }
+  const NodeId roots[] = {badOut};
+  const netlist::SequentialCone cone = netlist::sequentialCone(nl, roots);
+  std::vector<ForcedInput> coneForced;
+  for (const NodeId id : cone.nl.inputs()) {
+    for (const ForcedInput& f : forced) {
+      if (f.input == cone.origOf[id]) coneForced.push_back({id, f.value});
+    }
+  }
+  const aig::SequentialAig sa = aig::fromNetlist(cone.nl);
+  PdrPropertyResult r = Engine(sa, cone.nl.outputs()[0],
+                               std::move(coneForced), opts, statsOut)
+                            .run();
+  for (NodeId& id : r.trace.inputs) id = cone.origOf[id];
+  r.trace.forced = std::move(forced);
+  r.engine.coneDffs = cone.nl.dffs().size();
+  r.engine.coneAnds = sa.aig.numAnds();
+  return r;
 }
 
 PdrResult proveUnbounded(const netlist::Netlist& nl,
@@ -842,16 +864,18 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
   const Monitor mon =
       buildUnboundedMonitor(nl, ports, opts.capacityBound,
                             opts.watchdogWindow);
-  const aig::SequentialAig sa = aig::fromNetlist(mon.nl);
 
   const auto prove = [&](const char* name, NodeId out,
                          std::vector<ForcedInput> forced) {
     obs::Span propSpan("sat.pdr.property");
     propSpan.arg("name", std::string(name));
     PdrPropertyResult r =
-        runEngine(sa, out, std::move(forced), opts, result.stats);
+        provePropertyUnbounded(mon.nl, out, std::move(forced), opts,
+                               result.stats);
     r.name = name;
     propSpan.arg("proved", r.provedUnbounded ? 1.0 : 0.0);
+    propSpan.arg("cone_dffs", static_cast<double>(r.engine.coneDffs));
+    propSpan.arg("cone_ands", static_cast<double>(r.engine.coneAnds));
     result.properties.push_back(std::move(r));
   };
   if (opts.tokenConservation) prove("token_conservation", mon.tokenOut, {});

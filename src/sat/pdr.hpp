@@ -18,6 +18,15 @@
 // first violation of either G-property. The watchdog's saturating
 // stall counter is the BMC one unchanged.
 //
+// Each property is proved on the sequential cone of influence of its
+// own fail output (netlist::sequentialCone), not on the whole monitored
+// netlist: the three invariants read only the wrapper's valid/stop
+// control and the monitor registers, so the encapsulated data path and
+// the other properties' monitors never reach the solver. The cone keeps
+// the reset values, enables and input order the engine relies on, and a
+// property violated on the cone is violated on the design with the same
+// trace.
+//
 // Per property the engine climbs two rungs:
 //
 //   k-induction  base case = plain BMC frames over sat::Unroller (a SAT
@@ -85,7 +94,11 @@ struct PdrOptions {
 /// A counterexample as multi-frame input assignments. frames[f][i] is
 /// the value of inputs[i] at cycle f; `forced` pins the environment
 /// inputs the trace's unrolling held constant (the watchdog's
-/// maximal-progress environment). The violation is observable at cycle
+/// maximal-progress environment), exactly as the caller passed them.
+/// `inputs` lists only the free inputs inside the property's cone of
+/// influence, by their ids in the caller's netlist; every other input
+/// is a don't-care that cannot affect the property (the replays below
+/// drive it to 0). The violation is observable at cycle
 /// frames.size() - 1.
 struct PdrTrace {
   std::vector<netlist::NodeId> inputs;
@@ -101,6 +114,9 @@ struct PdrEngineStats {
   std::uint64_t micDroppedLits = 0;  // further literals dropped by MIC passes
   std::uint64_t pushedClauses = 0;   // clauses propagated forward a frame
   std::uint64_t liftedLits = 0;      // literals dropped lifting model cubes
+  // Size of the sequential cone both rungs ran on (not summed).
+  std::uint64_t coneDffs = 0;        // DFFs in the property's cone
+  std::uint64_t coneAnds = 0;        // AND nodes of the cone's lifted AIG
 };
 
 struct PdrPropertyResult {
@@ -182,7 +198,10 @@ PdrResult proveUnbounded(const netlist::Netlist& nl,
 /// Generic single-property entry: prove output `badOutput` of `nl` can
 /// never assert, with `forced` inputs pinned every cycle. Used by the
 /// protocol driver above and directly unit-testable on hand-built
-/// state machines. `statsOut` accumulates the solver totals.
+/// state machines. Runs on the sequential cone of `badOutput` (see the
+/// header); throws std::invalid_argument when a forced node is not an
+/// input of `nl` or an in-cone ROM is present. `statsOut` accumulates
+/// the solver totals.
 PdrPropertyResult provePropertyUnbounded(const netlist::Netlist& nl,
                                          netlist::NodeId badOutput,
                                          std::vector<ForcedInput> forced,
@@ -202,9 +221,12 @@ struct ReplayResult {
   bool oracleAgrees = false;   // netlist and behavioural outputs matched
 };
 
-/// Replay `trace` on the design netlist with exact token accounting,
-/// independent of the SAT monitor (property is the result's name:
-/// "token_conservation" | "occupancy_bound" | "deadlock_watchdog").
+/// Replay `trace` on the design netlist, judging the property with a
+/// software mirror of the monitor's saturating offset registers and
+/// stall counter — independent of the SAT encoding, but with the same
+/// clamped semantics, so a verdict transfers cycle for cycle (property
+/// is the result's name: "token_conservation" | "occupancy_bound" |
+/// "deadlock_watchdog").
 ReplayResult replayTrace(const netlist::Netlist& nl,
                          const sync::PortView& ports,
                          const std::string& property, const PdrTrace& trace,

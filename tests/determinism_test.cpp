@@ -558,6 +558,8 @@ void testRunManySatPipeline() {
       CHECK_EQ(e1.micDroppedLits, e8.micDroppedLits);
       CHECK_EQ(e1.pushedClauses, e8.pushedClauses);
       CHECK_EQ(e1.liftedLits, e8.liftedLits);
+      CHECK_EQ(e1.coneDffs, e8.coneDffs);
+      CHECK_EQ(e1.coneAnds, e8.coneAnds);
     }
     CHECK_EQ(p1->stats.conflicts, p8->stats.conflicts);
     CHECK_EQ(p1->stats.decisions, p8->stats.decisions);

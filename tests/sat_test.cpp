@@ -13,8 +13,10 @@
 #include "lis/system.hpp"
 #include "lis/wrapper.hpp"
 #include "logic/bdd.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/equiv.hpp"
 #include "netlist/generate.hpp"
+#include "netlist/netlist_sim.hpp"
 #include "netlist/seq_equiv.hpp"
 #include "sat/bmc.hpp"
 #include "sat/cnf.hpp"
@@ -599,6 +601,13 @@ void testPdrCleanTopologiesProvedUnbounded() {
       CHECK(!r.anyViolated());
       CHECK(!r.anyDegraded());
       CHECK_EQ(r.minDepthReached(), ~0u);
+      // Each property ran on its own cone: the monitor registers plus
+      // the protocol control, never the whole design's state.
+      for (const sat::PdrPropertyResult& p : r.properties) {
+        CHECK(p.engine.coneDffs > 0u);
+        CHECK(p.engine.coneDffs < sys.netlist.dffs().size());
+        CHECK(p.engine.coneAnds > 0u);
+      }
     }
   }
 }
@@ -720,6 +729,211 @@ void testPdrBudgetDegradesToBound() {
     CHECK(!p.violated);
     if (p.degraded) CHECK(!p.provedUnbounded);
   }
+}
+
+// ---------------------------------------------------------------------------
+// sequential cone of influence
+
+void testSequentialConeShape() {
+  // `side` reads the cone (r1) but nothing in the cone reads `side`, so
+  // it and the only input feeding it (`junk`) fall out; the rest keeps
+  // its order, reset values, enable and names.
+  nlx::Netlist nl("cone_shape");
+  const nlx::NodeId a = nl.addInput("a");
+  const nlx::NodeId junk = nl.addInput("junk");
+  const nlx::NodeId en = nl.addInput("en");
+  const nlx::NodeId b = nl.addInput("b");
+  const nlx::NodeId r0 = nl.mkDff(nl.constant(false), en, true, "r0");
+  const nlx::NodeId side =
+      nl.mkDff(nl.constant(false), nlx::kNoNode, true, "side");
+  const nlx::NodeId r1 = nl.mkDff(nl.constant(false), nlx::kNoNode, false,
+                                  "r1");
+  nl.setDffInputs(r0, nl.mkXor(r0, a), en);
+  nl.setDffInputs(side, nl.mkXor(junk, r1));
+  nl.setDffInputs(r1, nl.mkMux(b, r1, r0));
+  nl.addOutput("side_out", side);
+  const nlx::NodeId bad = nl.addOutput("bad", nl.mkAnd(r1, b));
+
+  const nlx::NodeId roots[] = {bad};
+  const nlx::SequentialCone cone = nlx::sequentialCone(nl, roots);
+  const nlx::Netlist& c = cone.nl;
+  CHECK_EQ(c.inputs().size(), 3u);
+  const nlx::NodeId wantIn[] = {a, en, b};
+  for (std::size_t i = 0; i < c.inputs().size() && i < 3; i++) {
+    CHECK_EQ(cone.origOf[c.inputs()[i]], wantIn[i]);
+    CHECK(c.node(c.inputs()[i]).name == nl.node(wantIn[i]).name);
+  }
+  CHECK_EQ(c.dffs().size(), 2u);
+  const nlx::NodeId wantDff[] = {r0, r1};
+  for (std::size_t i = 0; i < c.dffs().size() && i < 2; i++) {
+    const nlx::Node& cd = c.node(c.dffs()[i]);
+    const nlx::Node& od = nl.node(wantDff[i]);
+    CHECK_EQ(cone.origOf[c.dffs()[i]], wantDff[i]);
+    CHECK(cd.name == od.name);
+    CHECK_EQ(cd.resetValue, od.resetValue);
+    CHECK_EQ(cd.hasEnable, od.hasEnable);
+  }
+  CHECK_EQ(cone.origOf[c.node(c.dffs()[0]).fanin[1]], en);
+  CHECK_EQ(c.outputs().size(), 1u);
+  CHECK_EQ(cone.origOf[c.outputs()[0]], bad);
+  CHECK(c.node(c.outputs()[0]).name == "bad");
+  CHECK_THROWS(nlx::sequentialCone(nl, std::span<const nlx::NodeId>(&r1, 1)),
+               std::invalid_argument);
+}
+
+void testSequentialConeMatchesOriginal() {
+  // Random sequential netlists: every root's cone, driven with the same
+  // stimulus on the inputs it kept, tracks the original cycle for cycle.
+  for (std::uint64_t seed = 1; seed <= 4; seed++) {
+    const nlx::Netlist nl = gen::randomSeq(8, 120, 12, 4, seed);
+    for (std::size_t o = 0; o + 1 < nl.outputs().size(); o += 2) {
+      const nlx::NodeId roots[] = {nl.outputs()[o], nl.outputs()[o + 1]};
+      const nlx::SequentialCone cone = nlx::sequentialCone(nl, roots);
+      CHECK(cone.nl.dffs().size() <= nl.dffs().size());
+      CHECK(cone.nl.inputs().size() <= nl.inputs().size());
+      nlx::NetlistSim full(nl);
+      nlx::NetlistSim part(cone.nl);
+      full.reset();
+      part.reset();
+      lis::support::SplitMix64 rng(seed * 31 + o);
+      for (unsigned cycle = 0; cycle < 300; cycle++) {
+        for (const nlx::NodeId in : nl.inputs()) {
+          full.setInput(in, rng.flip());
+        }
+        for (const nlx::NodeId in : cone.nl.inputs()) {
+          part.setInput(in, full.value(cone.origOf[in]));
+        }
+        full.settle();
+        part.settle();
+        for (std::size_t k = 0; k < 2; k++) {
+          CHECK_EQ(part.value(cone.nl.outputs()[k]), full.value(roots[k]));
+        }
+        full.clock();
+        part.clock();
+      }
+    }
+  }
+}
+
+void testSequentialConeKeepsRoms() {
+  // An in-cone ROM survives extraction, so the Unroller still refuses
+  // the cone; a ROM outside the cone is dropped with the rest.
+  nlx::Netlist nl("rom_cone");
+  const nlx::NodeId a0 = nl.addInput("a0");
+  const nlx::NodeId a1 = nl.addInput("a1");
+  const nlx::NodeId q0 = nl.mkDff(a0);
+  const nlx::NodeId q1 = nl.mkDff(a1);
+  const std::uint32_t rom = nl.addRom(1, {0, 1, 1, 0}, "rom");
+  const nlx::NodeId addr[] = {q0, q1};
+  const nlx::NodeId bit = nl.mkRomBit(rom, 0, addr);
+  const nlx::NodeId romOut = nl.addOutput("rom_out", bit);
+  const nlx::NodeId plainOut = nl.addOutput("plain", nl.mkAnd(q0, q1));
+
+  const nlx::NodeId withRom[] = {romOut};
+  const nlx::SequentialCone in = nlx::sequentialCone(nl, withRom);
+  CHECK_EQ(in.nl.romCount(), 1u);
+  CHECK(in.nl.rom(0).words == nl.rom(rom).words);
+  {
+    const lis::aig::SequentialAig sa = lis::aig::fromNetlist(in.nl);
+    sat::Solver s;
+    CHECK_THROWS(sat::Unroller(s, sa), std::invalid_argument);
+  }
+  const nlx::NodeId noRom[] = {plainOut};
+  const nlx::SequentialCone out = nlx::sequentialCone(nl, noRom);
+  CHECK_EQ(out.nl.romCount(), 0u);
+  {
+    const lis::aig::SequentialAig sa = lis::aig::fromNetlist(out.nl);
+    sat::Solver s;
+    sat::Unroller u(s, sa);
+    u.pushFrame();
+    CHECK_EQ(u.frames(), 1u);
+  }
+}
+
+/// A 2-bit counter stepping while input `en` is high drives `bad`; a
+/// 24-bit shift register fed by input `sin` (and the counter) sits
+/// outside bad's cone. `mod3` makes the counter skip state 3.
+nlx::Netlist counterBesideShiftRegister(bool mod3, nlx::NodeId& bad,
+                                        nlx::NodeId& sin) {
+  nlx::Netlist nl(mod3 ? "count_mod3" : "count_mod4");
+  sin = nl.addInput("sin");
+  const nlx::NodeId en = nl.addInput("en");
+  const nlx::NodeId q0 = nl.mkDff(nl.constant(false), en);
+  const nlx::NodeId q1 = nl.mkDff(nl.constant(false), en);
+  if (mod3) { // 00 -> 01 -> 10 -> 00
+    nl.setDffInputs(q0, nl.mkAnd(nl.mkNot(q0), nl.mkNot(q1)), en);
+    nl.setDffInputs(q1, q0, en);
+  } else { // 00 -> 01 -> 10 -> 11
+    nl.setDffInputs(q0, nl.mkNot(q0), en);
+    nl.setDffInputs(q1, nl.mkXor(q1, q0), en);
+  }
+  nlx::NodeId prev = nl.mkXor(sin, q0);
+  for (int i = 0; i < 24; i++) prev = nl.mkDff(prev);
+  nl.addOutput("shift_out", prev);
+  bad = nl.addOutput("bad", nl.mkAnd(q0, q1));
+  return nl;
+}
+
+void testPdrRunsOnSequentialCone() {
+  // Proved: the cone is the counter alone, on both rungs.
+  for (const unsigned maxK : {4u, 0u}) {
+    nlx::NodeId bad = nlx::kNoNode, sin = nlx::kNoNode;
+    const nlx::Netlist nl = counterBesideShiftRegister(true, bad, sin);
+    sat::SolverStats stats;
+    sat::PdrOptions opts;
+    opts.maxInductionK = maxK;
+    const sat::PdrPropertyResult r =
+        sat::provePropertyUnbounded(nl, bad, {}, opts, stats);
+    CHECK(r.provedUnbounded);
+    CHECK(!r.degraded);
+    CHECK_EQ(r.engine.coneDffs, 2u);
+    CHECK_EQ(nl.dffs().size(), 26u);
+    CHECK(r.engine.coneAnds > 0u);
+    CHECK(r.engine.coneAnds < lis::aig::fromNetlist(nl).aig.numAnds());
+  }
+  // Violated at depth 3: the trace names original inputs (never the
+  // out-of-cone `sin`), keeps the caller's forced list, and replays on
+  // the original netlist with bad firing exactly at failDepth.
+  nlx::NodeId bad = nlx::kNoNode, sin = nlx::kNoNode;
+  const nlx::Netlist nl = counterBesideShiftRegister(false, bad, sin);
+  for (const unsigned maxK : {4u, 0u}) {
+    sat::SolverStats stats;
+    sat::PdrOptions opts;
+    opts.maxInductionK = maxK;
+    const std::vector<sat::ForcedInput> forced = {{sin, true}};
+    const sat::PdrPropertyResult r =
+        sat::provePropertyUnbounded(nl, bad, forced, opts, stats);
+    CHECK(r.violated);
+    CHECK_EQ(r.failDepth, 3u);
+    CHECK_EQ(r.trace.frames.size(), 4u);
+    CHECK_EQ(r.trace.forced.size(), 1u);
+    CHECK(!r.trace.forced.empty() && r.trace.forced[0].input == sin);
+    for (const nlx::NodeId id : r.trace.inputs) {
+      bool isInput = false;
+      for (const nlx::NodeId in : nl.inputs()) isInput |= in == id;
+      CHECK(isInput);
+      CHECK(id != sin);
+    }
+    nlx::NetlistSim sim(nl);
+    sim.reset();
+    unsigned firstBad = ~0u;
+    for (unsigned f = 0; f < r.trace.frames.size(); f++) {
+      for (std::size_t i = 0; i < r.trace.inputs.size(); i++) {
+        sim.setInput(r.trace.inputs[i], r.trace.frames[f][i]);
+      }
+      for (const sat::ForcedInput& fi : r.trace.forced) {
+        sim.setInput(fi.input, fi.value);
+      }
+      sim.settle();
+      if (sim.value(bad) && firstBad == ~0u) firstBad = f;
+      sim.clock();
+    }
+    CHECK_EQ(firstBad, r.failDepth);
+  }
+  // A forced node must still be an input of the caller's netlist.
+  sat::SolverStats stats;
+  CHECK_THROWS(sat::provePropertyUnbounded(nl, bad, {{bad, true}}, {}, stats),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -856,6 +1070,10 @@ int main() {
   testPdrBrokenRelayCexAndReplay();
   testPdrReplayOnCosimOracle();
   testPdrBudgetDegradesToBound();
+  testSequentialConeShape();
+  testSequentialConeMatchesOriginal();
+  testSequentialConeKeepsRoms();
+  testPdrRunsOnSequentialCone();
   testEquivSatTierProves();
   testEquivSatTierRefutesWithReplayableCex();
   testSatBudgetFallsBackToBdd();

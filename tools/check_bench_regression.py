@@ -43,6 +43,10 @@ bar (budget or frame-cap stop) fails with the degradation called out,
 as does an aggregate/per-property inconsistency. Entries that predate
 the PDR engine (no proved_unbounded key) warn and skip.
 
+The sat suite's utilization wall (metrics.utilization, suite "sat") must
+stay within 2x the baseline's. Like --scale-gate's speedup floor this
+binds only on runs with at least 4 hardware threads and warns otherwise.
+
 The "metrics" section (per-config engine counters + executor
 utilization, added with the observability layer) is gated leniently:
 every non-failed config row must carry its suite's required counter keys
@@ -329,7 +333,7 @@ METRICS_REQUIRED_KEYS = {
                   "aig.cuts_enumerated"),
     "fault": ("fault.sites", "fault.control_seu_coverage"),
     "sat": ("sat.conflicts", "sat.decisions", "sat.propagations",
-            "pdr.all_proved", "pdr.frames"),
+            "pdr.all_proved", "pdr.frames", "pdr.cone_dffs"),
 }
 
 # The sweep suite (the long, many-design section) must keep the executor
@@ -421,6 +425,50 @@ def check_metrics(baseline, fresh):
 SCALE_REQUIRED_TOPOLOGIES = ("pipe256_d1", "pipe1024_d1", "mesh16x16_d1",
                              "mesh32x32_d1")
 SCALE_MIN_HW_THREADS = 4
+
+# The sat suite (SAT sweep + BMC + unbounded proofs) may take at most this
+# multiple of the baseline's utilization wall. Wall time is a machine
+# fact, so the gate only binds on runs with SCALE_MIN_HW_THREADS threads.
+SAT_WALL_SLACK = 2.0
+
+
+def suite_wall(data, suite):
+    """wall_seconds of `suite` in data's metrics.utilization, or None."""
+    util = (data.get("metrics") or {}).get("utilization") or {}
+    for entry in util.get("suites", []):
+        if entry.get("suite") == suite:
+            return entry.get("wall_seconds")
+    return None
+
+
+def check_sat_wall(baseline, fresh):
+    """Gate the sat suite's wall against the baseline's.
+
+    Returns (failures, warnings). Fails when the fresh sat wall exceeds
+    SAT_WALL_SLACK times the baseline's on a run with at least
+    SCALE_MIN_HW_THREADS hardware threads; on smaller machines it only
+    warns, as --scale-gate does. A wall missing on either side (stripped
+    or pre-observability output) warns and skips.
+    """
+    failures = []
+    warnings = []
+    old = suite_wall(baseline, "sat")
+    new = suite_wall(fresh, "sat")
+    if not old or not new:
+        warnings.append("sat suite wall missing from the baseline or fresh "
+                        "utilization; sat wall gate skipped")
+        return failures, warnings
+    hw = (fresh.get("sweep") or {}).get("hardware_threads") or 0
+    if hw < SCALE_MIN_HW_THREADS:
+        warnings.append(
+            f"only {hw} hardware thread(s); sat suite wall {new:.1f}s "
+            f"(baseline {old:.1f}s) not gated (needs >= "
+            f"{SCALE_MIN_HW_THREADS} threads to be meaningful)")
+    elif new > old * SAT_WALL_SLACK:
+        failures.append(
+            f"sat suite wall {old:.1f}s -> {new:.1f}s on {hw} hardware "
+            f"threads, beyond {SAT_WALL_SLACK:.1f}x the baseline")
+    return failures, warnings
 
 
 def check_scale(fresh, max_wall, min_speedup):
@@ -598,6 +646,9 @@ def run_gate(args):
     metrics_failures, metrics_warnings = check_metrics(baseline, fresh)
     failures += metrics_failures
     warnings += metrics_warnings
+    wall_failures, wall_warnings = check_sat_wall(baseline, fresh)
+    failures += wall_failures
+    warnings += wall_warnings
 
     print(f"{'config':>22} {'slices':>15} {'fmax_mhz':>19}")
     for name, old, new, notes in rows:
@@ -620,6 +671,9 @@ def run_gate(args):
                 print(f"util {entry.get('suite', '?'):>23}   "
                       f"parallel efficiency "
                       f"{entry['parallel_efficiency']:.3f}")
+    old_sat, new_sat = suite_wall(baseline, "sat"), suite_wall(fresh, "sat")
+    if old_sat and new_sat:
+        print(f"util {'sat':>23}   wall {old_sat:.1f}s -> {new_sat:.1f}s")
     for entry in fresh.get("fault", {}).get("entries", []):
         name = entry.get("design", "?")
         if entry.get("failed"):
@@ -939,6 +993,25 @@ def self_test():
     f, w = check_metrics({}, stripped)
     checks.append(("null utilization in stripped run warns", not f
                    and bool(w)))
+
+    # --- sat suite wall gate --------------------------------------------
+    def wall_file(sat_wall, hw):
+        return {"metrics": {"configs": [], "utilization": {"suites": [
+            {"suite": "sat", "wall_seconds": sat_wall}]}},
+            "sweep": {"jobs": 4, "hardware_threads": hw}}
+
+    # Within the slack on a 4-thread machine passes cleanly.
+    f, w = check_sat_wall(wall_file(20.0, 4), wall_file(35.0, 4))
+    checks.append(("sat wall within slack passes", not f and not w))
+    # Beyond 2x the baseline fails on >= 4 hardware threads...
+    f, _ = check_sat_wall(wall_file(20.0, 4), wall_file(45.0, 4))
+    checks.append(("sat wall beyond slack fails", bool(f)))
+    # ...but only warns on an under-provisioned machine, and a stripped
+    # run (no utilization) warns and skips.
+    f, w = check_sat_wall(wall_file(20.0, 4), wall_file(45.0, 1))
+    checks.append(("sat wall on small machine warns", not f and bool(w)))
+    f, w = check_sat_wall(wall_file(20.0, 4), metrics_file([]))
+    checks.append(("sat wall absent warns", not f and bool(w)))
 
     # --- "--scale-gate" checks ------------------------------------------
     def scale_file(**kw):
