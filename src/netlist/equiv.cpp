@@ -208,11 +208,14 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
 
   // --- Phase 2: SAT miter. Both netlists are lowered into one AIG over
   // shared name-matched inputs; structural hashing discharges identical
-  // cones outright and each surviving XOR pair becomes one incremental
-  // CDCL query. A SAT answer is an exact counterexample at any width; all
-  // UNSAT is a proof. A tripped budget falls through to the BDD identity
-  // proof with the partial search footprint kept on whatever that
-  // returns.
+  // cones outright and each surviving XOR pair becomes one CDCL query. The
+  // queries run in output order, kEquivPairsPerSolver to a fresh solver:
+  // neighbouring outputs share their cones, while a solver that lived for
+  // the whole miter would drag every cone encoded so far through each
+  // later query's propagation and decision heap. A SAT answer is an exact
+  // counterexample at any width; all UNSAT is a proof. A tripped budget
+  // falls through to the BDD identity proof with the partial search
+  // footprint kept on whatever that returns.
   ProofStats satPartial;
   if (opts.useSat) {
     obs::Span satSpan("sat.equiv");
@@ -233,46 +236,80 @@ EquivResult checkCombEquivalence(const Netlist& a, const Netlist& b,
     for (std::size_t j = 0; j < b.outputs().size(); ++j) {
       bOutPos[b.node(b.outputs()[j]).name] = j;
     }
+    // (a output index, miter XOR) per pair strashing did not discharge.
+    std::vector<std::pair<std::size_t, aig::Lit>> pairs;
+    for (std::size_t i = 0; i < a.outputs().size(); ++i) {
+      const aig::Lit xorLit = miter.addXor(
+          outsA[i], outsB[bOutPos.at(a.node(a.outputs()[i]).name)]);
+      if (xorLit != aig::kLitFalse) pairs.emplace_back(i, xorLit);
+    }
 
-    sat::Solver solver(support::SplitMix64(opts.seed).forkSeed(2));
-    solver.setBudget({opts.satConflictBudget, opts.satPropagationBudget});
-    sat::AigCnf cnf(solver, miter);
-    const auto satStatsOf = [&solver] {
-      ProofStats p;
-      p.satConflicts = solver.stats().conflicts;
-      p.satDecisions = solver.stats().decisions;
-      p.satPropagations = solver.stats().propagations;
-      return p;
+    // Budgets are whole-proof totals: each solver gets what the earlier
+    // ones left (0 stays unlimited).
+    const auto leftOf = [](std::uint64_t budget, std::uint64_t spent) {
+      return budget == 0 ? 0 : budget - std::min(budget, spent);
+    };
+    std::uint64_t queries = 0;
+    std::uint64_t solvers = 0;
+    const auto noteSpan = [&] {
+      satSpan.arg("queries", static_cast<double>(queries));
+      satSpan.arg("solvers", static_cast<double>(solvers));
     };
     bool unknown = false;
-    for (std::size_t i = 0; i < a.outputs().size() && !unknown; ++i) {
-      const std::string& name = a.node(a.outputs()[i]).name;
-      const aig::Lit xorLit =
-          miter.addXor(outsA[i], outsB[bOutPos.at(name)]);
-      if (xorLit == aig::kLitFalse) continue; // structurally identical
-      const sat::Result r = solver.solve({cnf.lit(xorLit)});
-      if (r == sat::Result::Sat) {
-        EquivResult result;
-        result.equivalent = false;
-        result.failingOutput = name;
-        result.method = EquivMethod::Sat;
-        result.confidence = 1.0;
-        CexReport report;
-        report.output = name;
-        std::uint64_t compact = 0;
-        for (std::size_t p = 0; p < a.inputs().size(); ++p) {
-          const bool v = solver.modelValue(cnf.piLit(p));
-          report.inputs.emplace_back(a.node(a.inputs()[p]).name, v);
-          if (v && p < 64) compact |= std::uint64_t{1} << p;
-        }
-        if (!wide) result.counterexample = compact;
-        result.cex = std::move(report);
-        result.proof = satStatsOf();
-        return result;
+    for (std::size_t first = 0; first < pairs.size() && !unknown;
+         first += kEquivPairsPerSolver) {
+      const sat::SolverBudget left{
+          leftOf(opts.satConflictBudget, satPartial.satConflicts),
+          leftOf(opts.satPropagationBudget, satPartial.satPropagations)};
+      // A budget spent to the last unit ends the tier like a tripped one.
+      if ((opts.satConflictBudget != 0 && left.maxConflicts == 0) ||
+          (opts.satPropagationBudget != 0 && left.maxPropagations == 0)) {
+        unknown = true;
+        break;
       }
-      unknown = r == sat::Result::Unknown;
+      sat::Solver solver(support::SplitMix64(opts.seed).forkSeed(2));
+      solver.setBudget(left);
+      sat::AigCnf cnf(solver, miter);
+      ++solvers;
+      const auto spentSoFar = [&] {
+        ProofStats p = satPartial;
+        p.satConflicts += solver.stats().conflicts;
+        p.satDecisions += solver.stats().decisions;
+        p.satPropagations += solver.stats().propagations;
+        return p;
+      };
+      const std::size_t last =
+          std::min(first + kEquivPairsPerSolver, pairs.size());
+      for (std::size_t k = first; k < last && !unknown; ++k) {
+        const auto [i, xorLit] = pairs[k];
+        ++queries;
+        const sat::Result r = solver.solve({cnf.lit(xorLit)});
+        if (r == sat::Result::Sat) {
+          const std::string& name = a.node(a.outputs()[i]).name;
+          EquivResult result;
+          result.equivalent = false;
+          result.failingOutput = name;
+          result.method = EquivMethod::Sat;
+          result.confidence = 1.0;
+          CexReport report;
+          report.output = name;
+          std::uint64_t compact = 0;
+          for (std::size_t p = 0; p < a.inputs().size(); ++p) {
+            const bool v = solver.modelValue(cnf.piLit(p));
+            report.inputs.emplace_back(a.node(a.inputs()[p]).name, v);
+            if (v && p < 64) compact |= std::uint64_t{1} << p;
+          }
+          if (!wide) result.counterexample = compact;
+          result.cex = std::move(report);
+          result.proof = spentSoFar();
+          noteSpan();
+          return result;
+        }
+        unknown = r == sat::Result::Unknown;
+      }
+      satPartial = spentSoFar();
     }
-    satPartial = satStatsOf();
+    noteSpan();
     if (!unknown) {
       EquivResult result;
       result.equivalent = true;

@@ -6,10 +6,20 @@
 //      mismatching output word immediately yields a concrete counterexample
 //      — inequivalent designs are almost always refuted here without a
 //      single BDD node being built.
-//   2. A BDD identity proof (outputs as BDDs over name-matched primary
-//      inputs) for designs that survive the sweep, optionally under a
-//      node/step budget (EquivOptions::bddNodeBudget / bddStepBudget).
-//   3. If the budget trips, a deepened random screen instead of a hang:
+//   2. A SAT miter over one joint AIG of both netlists: structural hashing
+//      discharges identical output pairs for free, and every other pair
+//      is one CDCL query. The queries run in output order in batches of
+//      kEquivPairsPerSolver consecutive pairs, each batch on a fresh
+//      solver and CNF encoding: neighbouring outputs share their cones,
+//      so a batch stays cone-local instead of dragging every cone
+//      encoded so far through each later query (the solver recycling of
+//      ABC's `cec`). A SAT answer is an exact counterexample, taken from
+//      the solver that found it.
+//   3. A BDD identity proof (outputs as BDDs over name-matched primary
+//      inputs) for designs the SAT tier left undecided (budget spent,
+//      or useSat off), optionally under a node/step budget
+//      (EquivOptions::bddNodeBudget / bddStepBudget).
+//   4. If that budget trips, a deepened random screen instead of a hang:
 //      the verdict degrades to method=Sim with an explicit confidence
 //      below 1.0 — sound for "inequivalent" (a counterexample is exact),
 //      honest about "equivalent" (screened, not proven).
@@ -18,6 +28,7 @@
 // compared via their combinational envelopes (see seq_equiv) or by
 // co-simulation in the test suites.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -68,6 +79,10 @@ struct ProofStats {
   }
 };
 
+/// Non-trivial output pairs the SAT tier asks one solver before starting
+/// a fresh one (see the header comment).
+inline constexpr std::size_t kEquivPairsPerSolver = 32;
+
 struct EquivOptions {
   /// 64 * simWords random patterns per sweep round. 0 disables the sweep.
   unsigned simWords = 4;
@@ -80,8 +95,10 @@ struct EquivOptions {
   std::uint64_t bddStepBudget = 0;
   unsigned fallbackSimRounds = 64;
   /// SAT miter tier between the sweep and the BDD proof. Runs one CDCL
-  /// query per surviving output pair over a joint AIG; a tripped conflict
-  /// or propagation budget (absolute totals, 0 = unlimited) hands the
+  /// query per surviving output pair over a joint AIG, on a fresh solver
+  /// per kEquivPairsPerSolver pairs. The conflict and propagation budgets
+  /// are totals over the whole proof (0 = unlimited): each solver gets
+  /// what the earlier ones left, and a tripped or spent budget hands the
   /// obligation to the BDD tier untouched.
   bool useSat = true;
   std::uint64_t satConflictBudget = std::uint64_t{1} << 22;

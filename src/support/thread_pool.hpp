@@ -16,6 +16,13 @@
 // Each worker keeps relaxed-atomic run/steal/idle counters (surfaced
 // through workerStats() and the bench "metrics.pool" section); the deques
 // track a queue-depth high-water mark under their own mutex.
+//
+// Worker threads outlive the pools they serve. A pool adopts threads
+// parked by earlier pools from a process-wide WorkerLot and spawns only
+// the shortfall; its destructor parks its workers again instead of
+// joining them. Starting a pool right after another one finished then
+// costs a handful of wakeups instead of thread creation (an Executor is
+// built per flow run). The lot joins every parked thread at process exit.
 
 #include <atomic>
 #include <chrono>
@@ -34,6 +41,103 @@
 
 namespace lis::support {
 
+/// Process-wide home of idle pool worker threads (see the header comment).
+class WorkerLot {
+public:
+  /// One pool's use of a thread: `run` is the worker loop; `parked` runs
+  /// once the thread is back in the lot, so a pool that waits for it
+  /// never returns while its thread is still on the way out.
+  struct Job {
+    std::function<void()> run;
+    std::function<void()> parked;
+  };
+
+  static WorkerLot& instance() {
+    static WorkerLot lot;
+    return lot;
+  }
+
+  WorkerLot(const WorkerLot&) = delete;
+  WorkerLot& operator=(const WorkerLot&) = delete;
+
+  /// Run `job` on the most recently parked thread, or on a new thread
+  /// when none is parked.
+  void dispatch(Job job) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Seat* seat = nullptr;
+    if (!parked_.empty()) {
+      seat = parked_.back();
+      parked_.pop_back();
+    } else {
+      seats_.push_back(std::make_unique<Seat>());
+      seat = seats_.back().get();
+      seat->thread = std::thread([this, seat] { threadMain(*seat); });
+    }
+    {
+      std::lock_guard<std::mutex> seatLock(seat->mutex);
+      seat->job = std::move(job);
+      seat->hasJob = true;
+    }
+    seat->wake.notify_one();
+  }
+
+  /// Threads parked right now (for tests and diagnostics).
+  std::size_t parkedCount() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return parked_.size();
+  }
+
+  /// Joins every thread. Runs at process exit, when every pool has been
+  /// destroyed and so every thread is parked, or about to wait in its
+  /// seat after parking.
+  ~WorkerLot() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& seat : seats_) {
+      {
+        std::lock_guard<std::mutex> seatLock(seat->mutex);
+        seat->quit = true;
+      }
+      seat->wake.notify_one();
+      seat->thread.join();
+    }
+  }
+
+private:
+  struct Seat {
+    std::mutex mutex; // guards job, hasJob, quit
+    std::condition_variable wake;
+    Job job;
+    bool hasJob = false;
+    bool quit = false;
+    std::thread thread;
+  };
+
+  WorkerLot() = default;
+
+  void threadMain(Seat& seat) {
+    while (true) {
+      Job job;
+      {
+        std::unique_lock<std::mutex> lock(seat.mutex);
+        seat.wake.wait(lock, [&seat] { return seat.hasJob || seat.quit; });
+        if (!seat.hasJob) return;
+        job = std::move(seat.job);
+        seat.hasJob = false;
+      }
+      job.run();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        parked_.push_back(&seat);
+      }
+      job.parked();
+    }
+  }
+
+  std::mutex mutex_; // guards seats_ and parked_
+  std::vector<std::unique_ptr<Seat>> seats_; // every thread ever started
+  std::vector<Seat*> parked_;
+};
+
 class ThreadPool {
 public:
   /// Per-worker counters, sampled with relaxed loads (totals are exact once
@@ -41,32 +145,32 @@ public:
   struct WorkerStats {
     std::uint64_t runs = 0;   // tasks executed by this worker
     std::uint64_t steals = 0; // of those, taken from another worker's deque
-    double idleSeconds = 0.0; // time spent parked on the sleep CV
+    double idleSeconds = 0.0; // time spent asleep on the wake CV
   };
 
-  /// Spawns `workers` threads (at least one).
+  /// Runs `workers` threads (at least one), adopted from the WorkerLot.
   explicit ThreadPool(unsigned workers) {
     queues_.resize(workers == 0 ? 1 : workers);
     for (auto& q : queues_) q = std::make_unique<Queue>();
-    threads_.reserve(queues_.size());
+    serving_ = queues_.size();
     for (std::size_t w = 0; w < queues_.size(); ++w) {
-      threads_.emplace_back([this, w] { workerLoop(w); });
+      WorkerLot::instance().dispatch(
+          {[this, w] { workerLoop(w); }, [this] { retire(); }});
     }
   }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Stops the workers and waits until each is parked in the lot again.
   ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> lock(sleepMutex_);
-      stop_ = true;
-    }
+    std::unique_lock<std::mutex> lock(sleepMutex_);
+    stop_ = true;
     wake_.notify_all();
-    for (std::thread& t : threads_) t.join();
+    retired_.wait(lock, [this] { return serving_ == 0; });
   }
 
-  unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
+  unsigned workers() const { return static_cast<unsigned>(queues_.size()); }
   unsigned workerCount() const { return workers(); }
 
   WorkerStats workerStats(std::size_t worker) const {
@@ -176,9 +280,9 @@ private:
   static constexpr std::chrono::microseconds kIdlePauseMin{500};
   static constexpr std::chrono::microseconds kIdlePauseMax{50000};
 
-  // Worker identity via thread-locals, not a scan of threads_ — workers
-  // start (and call currentWorker) while the constructor is still
-  // emplacing into that vector.
+  // Worker identity via thread-locals: a thread serves one pool after
+  // another, and starts serving (and calls currentWorker) while the
+  // constructor is still dispatching the rest.
   inline static thread_local const ThreadPool* tlsPool_ = nullptr;
   inline static thread_local std::size_t tlsWorker_ = 0;
 
@@ -196,6 +300,13 @@ private:
       if (!q->tasks.empty()) return true;
     }
     return false;
+  }
+
+  /// A worker of this pool is parked again; the last one frees the
+  /// destructor.
+  void retire() {
+    std::lock_guard<std::mutex> lock(sleepMutex_);
+    if (--serving_ == 0) retired_.notify_all();
   }
 
   void workerLoop(std::size_t worker) {
@@ -239,12 +350,13 @@ private:
   }
 
   std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> threads_;
   std::atomic<std::size_t> nextQueue_{0};
   std::atomic<std::uint64_t> externalRuns_{0};
   std::mutex sleepMutex_;
   std::condition_variable wake_;
+  std::condition_variable retired_;
   bool stop_ = false;
+  std::size_t serving_ = 0; // workers not yet parked again; sleepMutex_
 };
 
 } // namespace lis::support

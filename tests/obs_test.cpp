@@ -2,13 +2,15 @@
 // suspend lifecycle, canonical snapshots, Chrome trace-event export), the
 // metrics registry, the executor's labeled fan-out spans (whose structure
 // must not depend on the job count), Design's exclusive stage attribution,
-// the thread pool's worker counters, and the utilization report derived
-// from suite/task spans.
+// the thread pool's worker counters and thread reuse, and the utilization
+// report derived from suite/task spans.
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -252,6 +254,63 @@ void testThreadPoolCounters() {
   CHECK_EQ(none.runs + none.externalRuns, 0u);
 }
 
+/// The thread id of every worker of `pool`: one task per worker, each
+/// held until all have started, so no worker can run two.
+std::set<std::thread::id> workerThreads(lis::support::ThreadPool& pool) {
+  const unsigned n = pool.workers();
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  std::atomic<unsigned> started{0};
+  std::atomic<unsigned> finished{0};
+  for (unsigned i = 0; i < n; ++i) {
+    pool.submit([&] {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+      }
+      started.fetch_add(1);
+      while (started.load() < n) std::this_thread::yield();
+      finished.fetch_add(1);
+    });
+  }
+  while (finished.load() < n) std::this_thread::yield();
+  std::lock_guard<std::mutex> lock(mutex);
+  return ids;
+}
+
+void testThreadPoolReusesParkedThreads() {
+  using lis::support::ThreadPool;
+  lis::support::WorkerLot& lot = lis::support::WorkerLot::instance();
+  std::set<std::thread::id> first;
+  {
+    ThreadPool pool(3);
+    first = workerThreads(pool);
+    CHECK_EQ(first.size(), 3u);
+  }
+  // A destroyed pool's workers are parked by the time it returns.
+  const std::size_t parked = lot.parkedCount();
+  CHECK(parked >= 3);
+  {
+    // The next pool adopts the most recently parked threads and starts
+    // with counters of its own.
+    ThreadPool pool(2);
+    CHECK_EQ(lot.parkedCount(), parked - 2);
+    const std::set<std::thread::id> second = workerThreads(pool);
+    CHECK_EQ(second.size(), 2u);
+    for (const std::thread::id id : second) CHECK(first.contains(id));
+    CHECK_EQ(pool.workerStats(0).runs + pool.workerStats(1).runs, 2u);
+    CHECK_EQ(pool.externalRuns(), 0u);
+  }
+  CHECK_EQ(lot.parkedCount(), parked);
+  {
+    // More workers than are parked: the shortfall is spawned.
+    ThreadPool pool(static_cast<unsigned>(parked) + 2);
+    CHECK_EQ(lot.parkedCount(), 0u);
+    CHECK_EQ(workerThreads(pool).size(), parked + 2);
+  }
+  CHECK_EQ(lot.parkedCount(), parked + 2);
+}
+
 TraceEvent mkEvent(const char* name, const char* cat, std::uint32_t tid,
                    std::int64_t startNs, std::int64_t endNs) {
   TraceEvent e;
@@ -317,6 +376,7 @@ int main() {
   testExecutorSpansJobsInvariant(1, 4);
   testDesignStageAttribution();
   testThreadPoolCounters();
+  testThreadPoolReusesParkedThreads();
   testUtilization();
   testGlobalRegistryIsSingleton();
   return testExit();

@@ -18,6 +18,7 @@
 #include "netlist/generate.hpp"
 #include "netlist/netlist_sim.hpp"
 #include "netlist/seq_equiv.hpp"
+#include "obs/trace.hpp"
 #include "sat/bmc.hpp"
 #include "sat/cnf.hpp"
 #include "sat/pdr.hpp"
@@ -1048,6 +1049,156 @@ void testSatBudgetFallsBackToBdd() {
   CHECK(r.proof.bddNodes > 0);
 }
 
+/// Outputs y0..y{n-1} over shared inputs x0..x7, each a distributive pair
+/// over three distinct inputs that the strash cannot merge: a computes
+/// x_i & (x_j | x_l), b computes (x_i & x_j) | (x_i & x_l). At `planted`
+/// b computes (x_i & x_j) | (x_j & x_l) instead, which differs at x_i=1,
+/// x_j=0, x_l=1.
+std::pair<nlx::Netlist, nlx::Netlist> distributivePair(std::size_t n,
+                                                       std::size_t planted) {
+  nlx::Netlist a("dist_a");
+  nlx::Netlist b("dist_b");
+  std::vector<nlx::NodeId> xa, xb;
+  for (unsigned i = 0; i < 8; i++) {
+    xa.push_back(a.addInput("x" + std::to_string(i)));
+    xb.push_back(b.addInput("x" + std::to_string(i)));
+  }
+  for (std::size_t k = 0; k < n; k++) {
+    const std::size_t i = k % 8, j = (i + 1 + k / 8 % 6) % 8, l = (i + 7) % 8;
+    const std::string name = "y" + std::to_string(k);
+    a.addOutput(name, a.mkAnd(xa[i], a.mkOr(xa[j], xa[l])));
+    const nlx::NodeId other = k == planted ? b.mkAnd(xb[j], xb[l])
+                                           : b.mkAnd(xb[i], xb[l]);
+    b.addOutput(name, b.mkOr(b.mkAnd(xb[i], xb[j]), other));
+  }
+  return {std::move(a), std::move(b)};
+}
+
+/// n outputs, output k the parity of its own six inputs: a chain of XORs
+/// in `a`, a balanced tree in `b`. Each miter query needs real CDCL
+/// search, and the cones share nothing, so the first m outputs' solvers
+/// behave identically in any pair built with n >= m.
+std::pair<nlx::Netlist, nlx::Netlist> parityPair(std::size_t n) {
+  nlx::Netlist a("par_chain");
+  nlx::Netlist b("par_tree");
+  for (std::size_t k = 0; k < n; k++) {
+    std::vector<nlx::NodeId> xa, xb;
+    for (unsigned i = 0; i < 6; i++) {
+      const std::string name =
+          "x" + std::to_string(k) + "_" + std::to_string(i);
+      xa.push_back(a.addInput(name));
+      xb.push_back(b.addInput(name));
+    }
+    nlx::NodeId chain = xa[0];
+    for (unsigned i = 1; i < 6; i++) chain = a.mkXor(chain, xa[i]);
+    a.addOutput("y" + std::to_string(k), chain);
+    const nlx::NodeId tree =
+        b.mkXor(b.mkXor(b.mkXor(xb[0], xb[1]), b.mkXor(xb[2], xb[3])),
+                b.mkXor(xb[4], xb[5]));
+    b.addOutput("y" + std::to_string(k), tree);
+  }
+  return {std::move(a), std::move(b)};
+}
+
+/// checkCombEquivalence under a recording tracer; also returns the
+/// sat.equiv span's queries and solvers args.
+struct TracedEquiv {
+  nlx::EquivResult result;
+  double queries = -1;
+  double solvers = -1;
+};
+TracedEquiv tracedEquiv(const nlx::Netlist& a, const nlx::Netlist& b,
+                        const nlx::EquivOptions& opts) {
+  lis::obs::Tracer& tracer = lis::obs::Tracer::instance();
+  tracer.enable();
+  TracedEquiv t{nlx::checkCombEquivalence(a, b, opts)};
+  tracer.disable();
+  for (const lis::obs::TraceEvent& e : tracer.snapshot()) {
+    if (e.name != "sat.equiv") continue;
+    for (const lis::obs::TraceArg& arg : e.args) {
+      if (arg.key == "queries") t.queries = arg.number;
+      if (arg.key == "solvers") t.solvers = arg.number;
+    }
+  }
+  return t;
+}
+
+void testEquivSatBatchesRefuteInLastBatch() {
+  // 3 full batches plus 5 pairs; the only difference sits in the last.
+  // With the sim screen off, the SAT tier must walk every batch, start a
+  // solver per batch and take the cex from the solver that found it.
+  const std::size_t n = 3 * nlx::kEquivPairsPerSolver + 5;
+  const auto [a, b] = distributivePair(n, n - 1);
+  nlx::EquivOptions opts;
+  opts.simRounds = 0;
+  const TracedEquiv t = tracedEquiv(a, b, opts);
+  const nlx::EquivResult& r = t.result;
+  CHECK(!r.equivalent);
+  CHECK(r.method == nlx::EquivMethod::Sat);
+  CHECK(r.confidence == 1.0);
+  CHECK(r.failingOutput == "y" + std::to_string(n - 1));
+  CHECK_EQ(t.queries, static_cast<double>(n));
+  CHECK_EQ(t.solvers, 4.0);
+  CHECK(r.counterexample.has_value());
+  CHECK(r.cex.has_value());
+  if (!r.cex.has_value()) return;
+  std::map<std::string, bool> byName;
+  for (const auto& [name, value] : r.cex->inputs) byName[name] = value;
+  std::map<nlx::NodeId, bool> inA, inB;
+  for (const nlx::NodeId id : a.inputs()) inA[id] = byName.at(a.node(id).name);
+  for (const nlx::NodeId id : b.inputs()) inB[id] = byName.at(b.node(id).name);
+  const std::vector<bool> outsA = evalNetlist(a, inA);
+  const std::vector<bool> outsB = evalNetlist(b, inB);
+  for (std::size_t k = 0; k < n; k++) {
+    CHECK_EQ(outsA[k] != outsB[k], k == n - 1);
+  }
+
+  // Without the planted difference the same batches prove it.
+  const auto [c, d] = distributivePair(n, n);
+  const TracedEquiv proved = tracedEquiv(c, d, opts);
+  CHECK(proved.result.equivalent);
+  CHECK(proved.result.method == nlx::EquivMethod::Sat);
+  CHECK_EQ(proved.queries, static_cast<double>(n));
+  CHECK_EQ(proved.solvers, 4.0);
+}
+
+void testEquivSatBudgetSpansBatches() {
+  // The conflict budget is a whole-proof total: set it to run out in the
+  // third batch and the proof falls to the BDD tier having spent exactly
+  // the budget, with the search footprint of all three solvers reported.
+  const std::size_t batch = nlx::kEquivPairsPerSolver;
+  const auto [a2, b2] = parityPair(2 * batch);
+  const auto [a3, b3] = parityPair(3 * batch);
+  const nlx::EquivResult two = nlx::checkCombEquivalence(a2, b2);
+  const nlx::EquivResult three = nlx::checkCombEquivalence(a3, b3);
+  CHECK(two.method == nlx::EquivMethod::Sat && two.equivalent);
+  CHECK(three.method == nlx::EquivMethod::Sat && three.equivalent);
+  const std::uint64_t firstTwo = two.proof.satConflicts;
+  CHECK(firstTwo > 0);
+  CHECK(three.proof.satConflicts > firstTwo + 1);
+
+  nlx::EquivOptions opts;
+  opts.satConflictBudget =
+      firstTwo + (three.proof.satConflicts - firstTwo) / 2;
+  const TracedEquiv t = tracedEquiv(a3, b3, opts);
+  const nlx::EquivResult& r = t.result;
+  CHECK(r.equivalent);
+  CHECK(r.method == nlx::EquivMethod::Bdd);
+  CHECK(!r.degraded);
+  CHECK_EQ(r.proof.satConflicts, opts.satConflictBudget);
+  CHECK(r.proof.satPropagations > two.proof.satPropagations);
+  CHECK(r.proof.bddNodes > 0);
+  CHECK_EQ(t.solvers, 3.0);
+
+  // A budget the first two batches spend to the last conflict never
+  // starts the third solver.
+  opts.satConflictBudget = firstTwo;
+  const TracedEquiv spent = tracedEquiv(a3, b3, opts);
+  CHECK(spent.result.method == nlx::EquivMethod::Bdd);
+  CHECK_EQ(spent.result.proof.satConflicts, firstTwo);
+  CHECK(spent.solvers <= 2.0);
+}
+
 } // namespace
 
 int main() {
@@ -1078,5 +1229,7 @@ int main() {
   testEquivSatTierRefutesWithReplayableCex();
   testSatBudgetFallsBackToBdd();
   testWideModeCexReport();
+  testEquivSatBatchesRefuteInLastBatch();
+  testEquivSatBudgetSpansBatches();
   return testExit();
 }

@@ -426,10 +426,13 @@ SCALE_REQUIRED_TOPOLOGIES = ("pipe256_d1", "pipe1024_d1", "mesh16x16_d1",
                              "mesh32x32_d1")
 SCALE_MIN_HW_THREADS = 4
 
-# The sat suite (SAT sweep + BMC + unbounded proofs) may take at most this
-# multiple of the baseline's utilization wall. Wall time is a machine
-# fact, so the gate only binds on runs with SCALE_MIN_HW_THREADS threads.
-SAT_WALL_SLACK = 2.0
+# Suites whose utilization wall may take at most SUITE_WALL_SLACK times
+# the baseline's: sat (SAT sweep + BMC + unbounded proofs) and sweep_opt
+# (optimize + proven equivalence across the sweep designs). Wall time is a
+# machine fact, so the gate only binds on runs with SCALE_MIN_HW_THREADS
+# threads.
+WALL_GATED_SUITES = ("sat", "sweep_opt")
+SUITE_WALL_SLACK = 2.0
 
 
 def suite_wall(data, suite):
@@ -441,33 +444,35 @@ def suite_wall(data, suite):
     return None
 
 
-def check_sat_wall(baseline, fresh):
-    """Gate the sat suite's wall against the baseline's.
+def check_suite_walls(baseline, fresh):
+    """Gate each WALL_GATED_SUITES wall against the baseline's.
 
-    Returns (failures, warnings). Fails when the fresh sat wall exceeds
-    SAT_WALL_SLACK times the baseline's on a run with at least
+    Returns (failures, warnings). Fails when a fresh suite wall exceeds
+    SUITE_WALL_SLACK times the baseline's on a run with at least
     SCALE_MIN_HW_THREADS hardware threads; on smaller machines it only
     warns, as --scale-gate does. A wall missing on either side (stripped
-    or pre-observability output) warns and skips.
+    or pre-observability output) warns and skips that suite.
     """
     failures = []
     warnings = []
-    old = suite_wall(baseline, "sat")
-    new = suite_wall(fresh, "sat")
-    if not old or not new:
-        warnings.append("sat suite wall missing from the baseline or fresh "
-                        "utilization; sat wall gate skipped")
-        return failures, warnings
     hw = (fresh.get("sweep") or {}).get("hardware_threads") or 0
-    if hw < SCALE_MIN_HW_THREADS:
-        warnings.append(
-            f"only {hw} hardware thread(s); sat suite wall {new:.1f}s "
-            f"(baseline {old:.1f}s) not gated (needs >= "
-            f"{SCALE_MIN_HW_THREADS} threads to be meaningful)")
-    elif new > old * SAT_WALL_SLACK:
-        failures.append(
-            f"sat suite wall {old:.1f}s -> {new:.1f}s on {hw} hardware "
-            f"threads, beyond {SAT_WALL_SLACK:.1f}x the baseline")
+    for suite in WALL_GATED_SUITES:
+        old = suite_wall(baseline, suite)
+        new = suite_wall(fresh, suite)
+        if not old or not new:
+            warnings.append(f"{suite} suite wall missing from the baseline "
+                            f"or fresh utilization; {suite} wall gate "
+                            "skipped")
+        elif hw < SCALE_MIN_HW_THREADS:
+            warnings.append(
+                f"only {hw} hardware thread(s); {suite} suite wall "
+                f"{new:.1f}s (baseline {old:.1f}s) not gated (needs >= "
+                f"{SCALE_MIN_HW_THREADS} threads to be meaningful)")
+        elif new > old * SUITE_WALL_SLACK:
+            failures.append(
+                f"{suite} suite wall {old:.1f}s -> {new:.1f}s on {hw} "
+                f"hardware threads, beyond {SUITE_WALL_SLACK:.1f}x the "
+                "baseline")
     return failures, warnings
 
 
@@ -646,7 +651,7 @@ def run_gate(args):
     metrics_failures, metrics_warnings = check_metrics(baseline, fresh)
     failures += metrics_failures
     warnings += metrics_warnings
-    wall_failures, wall_warnings = check_sat_wall(baseline, fresh)
+    wall_failures, wall_warnings = check_suite_walls(baseline, fresh)
     failures += wall_failures
     warnings += wall_warnings
 
@@ -671,9 +676,11 @@ def run_gate(args):
                 print(f"util {entry.get('suite', '?'):>23}   "
                       f"parallel efficiency "
                       f"{entry['parallel_efficiency']:.3f}")
-    old_sat, new_sat = suite_wall(baseline, "sat"), suite_wall(fresh, "sat")
-    if old_sat and new_sat:
-        print(f"util {'sat':>23}   wall {old_sat:.1f}s -> {new_sat:.1f}s")
+    for suite in WALL_GATED_SUITES:
+        old_wall, new_wall = suite_wall(baseline, suite), suite_wall(fresh, suite)
+        if old_wall and new_wall:
+            print(f"util {suite:>23}   wall {old_wall:.1f}s -> "
+                  f"{new_wall:.1f}s")
     for entry in fresh.get("fault", {}).get("entries", []):
         name = entry.get("design", "?")
         if entry.get("failed"):
@@ -994,24 +1001,36 @@ def self_test():
     checks.append(("null utilization in stripped run warns", not f
                    and bool(w)))
 
-    # --- sat suite wall gate --------------------------------------------
-    def wall_file(sat_wall, hw):
+    # --- per-suite wall gate -------------------------------------------
+    def wall_file(hw, **walls):
         return {"metrics": {"configs": [], "utilization": {"suites": [
-            {"suite": "sat", "wall_seconds": sat_wall}]}},
+            {"suite": suite, "wall_seconds": wall}
+            for suite, wall in walls.items()]}},
             "sweep": {"jobs": 4, "hardware_threads": hw}}
 
+    base = wall_file(4, sat=20.0, sweep_opt=2.0)
     # Within the slack on a 4-thread machine passes cleanly.
-    f, w = check_sat_wall(wall_file(20.0, 4), wall_file(35.0, 4))
-    checks.append(("sat wall within slack passes", not f and not w))
-    # Beyond 2x the baseline fails on >= 4 hardware threads...
-    f, _ = check_sat_wall(wall_file(20.0, 4), wall_file(45.0, 4))
-    checks.append(("sat wall beyond slack fails", bool(f)))
+    f, w = check_suite_walls(base, wall_file(4, sat=35.0, sweep_opt=3.5))
+    checks.append(("suite walls within slack pass", not f and not w))
+    # Beyond 2x the baseline fails on >= 4 hardware threads, per suite...
+    f, _ = check_suite_walls(base, wall_file(4, sat=45.0, sweep_opt=2.0))
+    checks.append(("sat wall beyond slack fails", len(f) == 1
+                   and "sat suite" in f[0]))
+    f, _ = check_suite_walls(base, wall_file(4, sat=20.0, sweep_opt=4.5))
+    checks.append(("sweep_opt wall beyond slack fails", len(f) == 1
+                   and "sweep_opt suite" in f[0]))
     # ...but only warns on an under-provisioned machine, and a stripped
     # run (no utilization) warns and skips.
-    f, w = check_sat_wall(wall_file(20.0, 4), wall_file(45.0, 1))
-    checks.append(("sat wall on small machine warns", not f and bool(w)))
-    f, w = check_sat_wall(wall_file(20.0, 4), metrics_file([]))
-    checks.append(("sat wall absent warns", not f and bool(w)))
+    f, w = check_suite_walls(base, wall_file(1, sat=45.0, sweep_opt=4.5))
+    checks.append(("suite walls on small machine warn", not f
+                   and len(w) == 2))
+    f, w = check_suite_walls(base, metrics_file([]))
+    checks.append(("suite walls absent warn", not f and len(w) == 2))
+    # A baseline without a sweep_opt wall skips just that suite.
+    f, w = check_suite_walls(wall_file(4, sat=20.0),
+                             wall_file(4, sat=20.0, sweep_opt=9.0))
+    checks.append(("sweep_opt wall absent from baseline skips", not f
+                   and len(w) == 1 and "sweep_opt" in w[0]))
 
     # --- "--scale-gate" checks ------------------------------------------
     def scale_file(**kw):
