@@ -613,8 +613,7 @@ std::string jsonFault(const FaultBench& b) {
 }
 
 // The sat section: per-design SAT-sweep tallies, the sweep soundness
-// proof's method/verdict, the BMC protocol-invariant verdicts at
-// bench::kSatBmcDepth, and the unbounded (k-induction/PDR) verdicts
+// proof's method/verdict, and the unbounded (k-induction/PDR) verdicts
 // (see bench::satSuite / bench::satPasses).
 struct SatBench {
   std::string design;
@@ -627,11 +626,6 @@ struct SatBench {
   std::size_t aigAndsAfter = 0;
   std::string equivMethod = "none";
   bool equivProved = false;
-  unsigned bmcDepth = 0;
-  bool bmcDegraded = false;
-  bool tokenConservationOk = false;
-  bool occupancyBoundOk = false;
-  bool deadlockWatchdogOk = false;
   bool provedUnbounded = false; // every property, for all time
   bool pdrDegraded = false;
   unsigned inductionK = 0;
@@ -650,9 +644,8 @@ SatBench satBenchOf(lis::flow::Design& d, const lis::flow::RunResult& res) {
   r.design = d.name();
   r.failed = !res.ok;
   const lis::sat::NetlistSweepResult* sw = d.sweepResult();
-  const lis::sat::BmcResult* bmc = d.bmcResult();
   const lis::sat::PdrResult* pdr = d.pdrResult();
-  if (sw == nullptr || bmc == nullptr || pdr == nullptr) {
+  if (sw == nullptr || pdr == nullptr) {
     r.failed = true;
     return r;
   }
@@ -673,14 +666,6 @@ SatBench satBenchOf(lis::flow::Design& d, const lis::flow::RunResult& res) {
   r.equivMethod = lis::netlist::equivMethodName(
       static_cast<lis::netlist::EquivMethod>(static_cast<unsigned>(
           d.metrics().value("sweep.equiv_method"))));
-  r.bmcDepth = bmc->minDepthReached();
-  r.bmcDegraded = bmc->anyDegraded();
-  for (const lis::sat::BmcPropertyResult& p : bmc->properties) {
-    const bool ok = !p.violated;
-    if (p.name == "token_conservation") r.tokenConservationOk = ok;
-    if (p.name == "occupancy_bound") r.occupancyBoundOk = ok;
-    if (p.name == "deadlock_watchdog") r.deadlockWatchdogOk = ok;
-  }
   r.provedUnbounded = pdr->allProved();
   r.pdrDegraded = pdr->anyDegraded();
   r.inductionK = pdr->maxInductionK();
@@ -717,11 +702,6 @@ std::string jsonSat(const SatBench& b) {
      << ", \"aig_ands_after\": " << b.aigAndsAfter
      << ", \"equiv_method\": \"" << b.equivMethod
      << "\", \"equiv_proved\": " << flag(b.equivProved)
-     << ", \"bmc_depth\": " << b.bmcDepth
-     << ", \"bmc_degraded\": " << flag(b.bmcDegraded)
-     << ", \"token_conservation_ok\": " << flag(b.tokenConservationOk)
-     << ", \"occupancy_bound_ok\": " << flag(b.occupancyBoundOk)
-     << ", \"deadlock_watchdog_ok\": " << flag(b.deadlockWatchdogOk)
      << ", \"proved_unbounded\": " << flag(b.provedUnbounded)
      << ", \"pdr_degraded\": " << flag(b.pdrDegraded)
      << ", \"induction_k\": " << b.inductionK
@@ -1027,15 +1007,11 @@ int main(int argc, char** argv) {
       continue;
     }
     std::printf("sat    %-22s sweep %2zu/%2zu merged (aig %4zu -> %4zu), "
-                "%s %s, bmc depth %2u %s, %s (k=%u, %u frames, "
+                "%s %s, %s (k=%u, %u frames, "
                 "%u clauses) (%llu conflicts, %llu propagations)\n",
                 b.design.c_str(), b.sweepProved, b.sweepCandidates,
                 b.aigAndsBefore, b.aigAndsAfter, b.equivMethod.c_str(),
-                b.equivProved ? "proved" : "UNPROVED", b.bmcDepth,
-                b.tokenConservationOk && b.occupancyBoundOk &&
-                        b.deadlockWatchdogOk
-                    ? "clean"
-                    : "VIOLATED",
+                b.equivProved ? "proved" : "UNPROVED",
                 b.provedUnbounded
                     ? "unbounded"
                     : (b.pdrDegraded ? "DEGRADED" : "UNPROVED"),
@@ -1126,7 +1102,6 @@ int main(int argc, char** argv) {
   js << "    ]\n"
      << "  },\n"
      << "  \"sat\": {\n"
-     << "    \"bmc_depth\": " << lis::bench::kSatBmcDepth << ",\n"
      << "    \"entries\": [\n";
   for (std::size_t i = 0; i < sats.size(); ++i) {
     js << jsonSat(sats[i]) << (i + 1 < sats.size() ? ",\n" : "\n");

@@ -164,22 +164,13 @@ inline std::vector<flow::Design> satSuite() {
   return designs;
 }
 
-/// The BMC depth the "sat" bench section proves invariants to; gated by
-/// tools/check_bench_regression.py.
-inline constexpr unsigned kSatBmcDepth = 20;
-
 /// The SAT verification pipeline: synth → SAT-sweep (merges proven
-/// against the synthesized netlist) → protocol-invariant BMC to
-/// kSatBmcDepth → unbounded proofs (k-induction, then PDR/IC3), both
-/// with the capacity bound derived from each design's spec. The BMC
-/// rung stays even though the unbounded pass subsumes it: kSatBmcDepth
-/// is the floor the regression gate can always fall back to when a
-/// budget degrades the unbounded verdict.
+/// against the synthesized netlist) → unbounded proofs of the protocol
+/// invariants (k-induction, then PDR/IC3) with the capacity bound
+/// derived from each design's spec.
 inline flow::Pipeline satPasses() {
-  sat::BmcOptions bmc;
-  bmc.depth = kSatBmcDepth;
   flow::Pipeline pipe;
-  pipe.synthesizeControl().satSweep().checkInvariants(bmc).proveUnbounded();
+  pipe.synthesizeControl().satSweep().proveUnbounded();
   return pipe;
 }
 

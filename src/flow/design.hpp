@@ -47,7 +47,6 @@
 #include "netlist/equiv.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
-#include "sat/bmc.hpp"
 #include "sat/pdr.hpp"
 #include "sat/sweep.hpp"
 #include "techmap/lutmap.hpp"
@@ -148,10 +147,6 @@ public:
     return sweep_ ? &*sweep_ : nullptr;
   }
   void setSweepResult(sat::NetlistSweepResult r) { sweep_ = std::move(r); }
-  /// BMC invariant verdicts, produced by the CheckInvariants pass; null
-  /// until it ran.
-  const sat::BmcResult* bmcResult() const { return bmc_ ? &*bmc_ : nullptr; }
-  void setBmcResult(sat::BmcResult r) { bmc_ = std::move(r); }
   /// Unbounded proof verdicts (k-induction / PDR), produced by the
   /// ProveUnbounded pass; null until it ran.
   const sat::PdrResult* pdrResult() const { return pdr_ ? &*pdr_ : nullptr; }
@@ -228,7 +223,6 @@ private:
   std::optional<sync::CosimResult> cosim_;
   std::optional<fault::CampaignResult> fault_;
   std::optional<sat::NetlistSweepResult> sweep_;
-  std::optional<sat::BmcResult> bmc_;
   std::optional<sat::PdrResult> pdr_;
   netlist::ProofStats proof_;
   bool hasProof_ = false;

@@ -402,70 +402,16 @@ void SatSweep::run(Design& design, PassContext& ctx) {
   design.setSweepResult(std::move(swept));
 }
 
-void CheckInvariants::run(Design& design, PassContext& ctx) {
-  sat::BmcOptions opts = options_;
-  if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
-  std::optional<sync::PortView> ports;
-  if (const sync::WrapperPorts* wp = design.wrapperPorts()) {
-    ports = sync::portView(*wp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.wrapperConfig());
-    }
-  } else if (const sync::SystemPorts* sp = design.systemPorts()) {
-    ports = sync::portView(*sp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.systemSpec());
-    }
-  } else {
-    ctx.note(design.name() + ": prebuilt netlist has no port view");
-    return;
-  }
-
-  sat::BmcResult r = sat::checkInvariants(design.netlist(), *ports, opts);
-  ctx.metric("depth", static_cast<double>(opts.depth));
-  ctx.metric("capacity_bound", static_cast<double>(opts.capacityBound));
-  ctx.metric("bmc_depth", static_cast<double>(r.minDepthReached()));
-  obs::Registry& m = design.metrics();
-  m.set("bmc.depth", static_cast<double>(r.minDepthReached()));
-  m.add("sat.conflicts", static_cast<double>(r.stats.conflicts));
-  m.add("sat.decisions", static_cast<double>(r.stats.decisions));
-  m.add("sat.propagations", static_cast<double>(r.stats.propagations));
-  std::string violated;
-  for (const sat::BmcPropertyResult& p : r.properties) {
-    ctx.metric(p.name + "_ok", p.violated ? 0.0 : 1.0);
-    m.set("bmc." + p.name + "_ok", p.violated ? 0.0 : 1.0);
-    if (p.violated) {
-      violated += (violated.empty() ? "" : ", ") + p.name + " at depth " +
-                  std::to_string(p.failDepth);
-    }
-  }
-  const bool degraded = r.anyDegraded();
-  design.setBmcResult(std::move(r));
-  if (!violated.empty()) {
-    ctx.error(design.name() + ": protocol invariant violated: " + violated);
-    return;
-  }
-  ctx.metric("degraded", degraded ? 1.0 : 0.0);
-  if (degraded) {
-    ctx.warning(design.name() +
-                ": BMC stopped short of the requested depth (budget)");
-  }
-}
-
 void ProveUnbounded::run(Design& design, PassContext& ctx) {
   sat::PdrOptions opts = options_;
   if (opts.cancel == nullptr) opts.cancel = ctx.cancel();
   std::optional<sync::PortView> ports;
   if (const sync::WrapperPorts* wp = design.wrapperPorts()) {
     ports = sync::portView(*wp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.wrapperConfig());
-    }
+    opts.capacityBound = sat::capacityBound(*design.wrapperConfig());
   } else if (const sync::SystemPorts* sp = design.systemPorts()) {
     ports = sync::portView(*sp);
-    if (deriveCapacity_) {
-      opts.capacityBound = sat::capacityBound(*design.systemSpec());
-    }
+    opts.capacityBound = sat::capacityBound(*design.systemSpec());
   } else {
     ctx.note(design.name() + ": prebuilt netlist has no port view");
     return;
@@ -610,21 +556,6 @@ void Report::run(Design& design, PassContext& ctx) {
        << ", \"aig_ands_before\": " << s->stats.andsBefore
        << ", \"aig_ands_after\": " << s->stats.andsAfter << "}";
   }
-  if (const sat::BmcResult* b = design.bmcResult()) {
-    os << ",\n  \"bmc\": {\"depth_reached\": " << b->minDepthReached()
-       << ", \"all_hold\": " << (b->allHold() ? "true" : "false")
-       << ", \"degraded\": " << (b->anyDegraded() ? "true" : "false")
-       << ", \"properties\": [";
-    bool firstProp = true;
-    for (const sat::BmcPropertyResult& p : b->properties) {
-      os << (firstProp ? "" : ", ") << "{\"name\": \"" << p.name
-         << "\", \"violated\": " << (p.violated ? "true" : "false")
-         << ", \"depth\": "
-         << (p.violated ? p.failDepth : p.depthReached) << "}";
-      firstProp = false;
-    }
-    os << "]}";
-  }
   if (const sat::PdrResult* u = design.pdrResult()) {
     os << ",\n  \"unbounded\": {\"all_proved\": "
        << (u->allProved() ? "true" : "false")
@@ -698,9 +629,8 @@ Pipeline& Pipeline::proveEncodingEquiv() {
   return add(std::make_unique<ProveEncodingEquiv>());
 }
 
-Pipeline& Pipeline::proveUnbounded(const sat::PdrOptions& options,
-                                   bool deriveCapacity) {
-  return add(std::make_unique<ProveUnbounded>(options, deriveCapacity));
+Pipeline& Pipeline::proveUnbounded(const sat::PdrOptions& options) {
+  return add(std::make_unique<ProveUnbounded>(options));
 }
 
 Pipeline& Pipeline::cosim(const sync::CosimOptions& options) {
@@ -714,11 +644,6 @@ Pipeline& Pipeline::faultCampaign(const fault::CampaignOptions& options) {
 Pipeline& Pipeline::satSweep(const sat::SweepOptions& options,
                              const netlist::EquivOptions& equiv) {
   return add(std::make_unique<SatSweep>(options, equiv));
-}
-
-Pipeline& Pipeline::checkInvariants(const sat::BmcOptions& options,
-                                    bool deriveCapacity) {
-  return add(std::make_unique<CheckInvariants>(options, deriveCapacity));
 }
 
 Pipeline& Pipeline::passDeadline(double seconds) {

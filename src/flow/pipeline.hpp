@@ -47,7 +47,6 @@
 #include "flow/executor.hpp"
 #include "lis/cosim.hpp"
 #include "netlist/equiv.hpp"
-#include "sat/bmc.hpp"
 #include "sat/pdr.hpp"
 #include "sat/sweep.hpp"
 #include "support/cancellation.hpp"
@@ -247,47 +246,24 @@ private:
   netlist::EquivOptions equiv_;
 };
 
-/// Bounded model checking of the LIS protocol invariants (token
-/// conservation, buffer-occupancy bound, deadlock watchdog — see
-/// sat/bmc.hpp) on the design's synthesized netlist through its port
-/// view. A violated invariant is a pass error carrying the property name
-/// and the exact failing depth; a budget/deadline-degraded bound is a
-/// warning plus metric. With deriveCapacity (the default) the storage
-/// bound B is computed from the design's wrapper config or system spec
-/// (sat::capacityBound); options.capacityBound then only covers prebuilt
-/// netlists, which have no spec to derive from.
-class CheckInvariants final : public Pass {
-public:
-  explicit CheckInvariants(sat::BmcOptions options = {},
-                           bool deriveCapacity = true)
-      : options_(options), deriveCapacity_(deriveCapacity) {}
-  std::string name() const override { return "check-invariants"; }
-  void run(Design& design, PassContext& ctx) override;
-
-private:
-  sat::BmcOptions options_;
-  bool deriveCapacity_;
-};
-
-/// Unbounded proofs of the LIS protocol invariants (k-induction, then
-/// PDR/IC3 — see sat/pdr.hpp) on the design's synthesized netlist. The
-/// strongest verdict per property: proved for all time, or a concrete
-/// counterexample trace (a pass error naming the property and failing
-/// depth, with the trace replayed on the netlist simulator — and, when
-/// the design has a behavioural spec, on the cosim oracle — to confirm
-/// it), or a budget/deadline-degraded bound (warning + metric, like
-/// CheckInvariants). deriveCapacity mirrors CheckInvariants.
+/// Unbounded proofs of the LIS protocol invariants (token conservation,
+/// buffer-occupancy bound, deadlock watchdog; k-induction, then PDR/IC3
+/// — see sat/pdr.hpp) on the design's synthesized netlist through its
+/// port view. The strongest verdict per property: proved for all time,
+/// or a concrete counterexample trace (a pass error naming the property
+/// and failing depth, with the trace replayed on the netlist simulator
+/// to confirm it), or a budget/deadline-degraded bound (warning +
+/// metric). The storage bound B is computed from the design's wrapper
+/// config or system spec (sat::capacityBound); prebuilt netlists have
+/// no port view and are skipped with a note.
 class ProveUnbounded final : public Pass {
 public:
-  explicit ProveUnbounded(sat::PdrOptions options = {},
-                          bool deriveCapacity = true)
-      : options_(options), deriveCapacity_(deriveCapacity) {}
+  explicit ProveUnbounded(sat::PdrOptions options = {}) : options_(options) {}
   std::string name() const override { return "prove-unbounded"; }
   void run(Design& design, PassContext& ctx) override;
 
 private:
   sat::PdrOptions options_;
-  bool deriveCapacity_;
 };
 
 struct ReportOptions {
@@ -319,10 +295,7 @@ public:
   Pipeline& faultCampaign(const fault::CampaignOptions& options = {});
   Pipeline& satSweep(const sat::SweepOptions& options = {},
                      const netlist::EquivOptions& equiv = {});
-  Pipeline& checkInvariants(const sat::BmcOptions& options = {},
-                            bool deriveCapacity = true);
-  Pipeline& proveUnbounded(const sat::PdrOptions& options = {},
-                           bool deriveCapacity = true);
+  Pipeline& proveUnbounded(const sat::PdrOptions& options = {});
   Pipeline& report(const ReportOptions& options = {});
 
   /// Wall-clock budget per pass, in seconds (0 disables, the default).

@@ -21,7 +21,7 @@
 // eagerly: the per-frame encoding folds constant fanins while cloning
 // the transition function, so the cone reachable from reset state
 // shrinks as it is unrolled instead of being encoded blindly. Inputs
-// can be forced to constants across all frames (the BMC watchdog's
+// can be forced to constants across all frames (the deadlock watchdog's
 // "sink never stalls" environment). ROMs are not supported.
 //
 // appendCombinational lowers the combinational logic of a netlist into

@@ -43,9 +43,9 @@ void accumulate(SolverStats& into, const SolverStats& s) {
 // ---------------------------------------------------------------------------
 // Unbounded-proof monitor
 //
-// Unlike the BMC monitor's horizon-sized token counters (which wrap past
-// the unrolling depth), every (input, output) channel pair carries one
-// saturating difference register, offset-encoded so
+// Every (input, output) channel pair carries one finite saturating
+// difference register (so the monitor stays finite-state and can carry
+// an unbounded argument), offset-encoded so
 //   o = accepted_i - delivered_j + (B+1)  clamped to [0, 2B+2].
 // While both invariants hold, o never touches a rail, updates are ±1 per
 // cycle and clamping only engages *at* a rail — so the first rail hit of
@@ -172,8 +172,8 @@ Monitor buildUnboundedMonitor(const Netlist& base, const sync::PortView& ports,
   }
   mon.occOut = m.addOutput("__pdr_occupancy_fail", m.orTree(occTerms));
 
-  // deadlock watchdog: saturating consecutive-stall counter, identical
-  // to the BMC monitor's (already finite-state).
+  // deadlock watchdog: saturating consecutive-stall counter, judged
+  // under the maximal-progress environment (maximalEnv).
   const unsigned window = std::max(1u, watchdogWindow);
   const unsigned ww = bitsFor(window);
   std::vector<NodeId> events;
@@ -1100,6 +1100,21 @@ ReplayResult replayTraceOnOracle(const netlist::Netlist& nl,
                                  const PdrTrace& trace,
                                  const ReplayOptions& opts) {
   return replayImpl(nl, ports, &beh, property, trace, opts);
+}
+
+unsigned capacityBound(const sync::SystemSpec& spec) {
+  unsigned b = 0;
+  for (const sync::ChannelSpec& c : spec.channels) {
+    b += c.initialTokens + c.relays * c.relayDepth;
+  }
+  for (const sync::PearlSpec& p : spec.pearls) {
+    b += p.numInputs + p.numOutputs + 2;
+  }
+  return b;
+}
+
+unsigned capacityBound(const sync::WrapperConfig& cfg) {
+  return cfg.numOutputs * cfg.relayDepth + cfg.numInputs + cfg.numOutputs + 2;
 }
 
 } // namespace lis::sat

@@ -2,12 +2,10 @@
 // Unbounded proofs of the LIS protocol invariants: k-induction and
 // PDR/IC3 over the incremental CDCL core.
 //
-// proveUnbounded answers the question checkInvariants (sat/bmc.hpp) can
-// only bound: do token conservation, the buffer-occupancy bound and the
-// deadlock watchdog hold for *all* time? The monitor differs from the
-// BMC one — BMC's token counters are sized to the unrolling horizon and
-// wrap past it, so they cannot carry an unbounded argument. Here every
-// (input i, output j) channel pair gets one finite saturating
+// proveUnbounded decides whether token conservation, the
+// buffer-occupancy bound and the deadlock watchdog hold for *all* time.
+// This monitor is the one formal definition of the three invariants.
+// Every (input i, output j) channel pair gets one finite saturating
 // difference register, offset-encoded so diff == accepted_i −
 // delivered_j + 1 lives in [0, B+2]: the low rail means some output
 // delivered a token every input still owes it (token conservation —
@@ -15,8 +13,13 @@
 // caught immediately), the high rail means some input out-ran every
 // output by more than B (occupancy). Updates are ±1 per cycle and a
 // rail is only ever *reached* exactly, so saturation never masks the
-// first violation of either G-property. The watchdog's saturating
-// stall counter is the BMC one unchanged.
+// first violation of either G-property. The deadlock watchdog is a
+// saturating counter of consecutive cycles without any handshake,
+// judged under the maximal-progress environment (every inValid held 1,
+// every outStop held 0); it fails once the count reaches the window.
+// B is the storage bound: total seed tokens plus relay storage plus
+// shell/pearl buffering — capacityBound() computes a sound (generous)
+// value from a spec.
 //
 // Each property is proved on the sequential cone of influence of its
 // own fail output (netlist::sequentialCone), not on the whole monitored
@@ -60,8 +63,9 @@
 #include <vector>
 
 #include "lis/oracle.hpp"
+#include "lis/system.hpp"
+#include "lis/wrapper.hpp"
 #include "netlist/netlist.hpp"
-#include "sat/bmc.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
 #include "support/cancellation.hpp"
@@ -69,8 +73,11 @@
 namespace lis::sat {
 
 struct PdrOptions {
-  /// Storage bound B and watchdog window, as in BmcOptions.
+  /// Storage bound B (see header); capacityBound() derives it from a
+  /// spec. Too small produces spurious violations, too large weakens
+  /// the invariant — never unsoundness.
   unsigned capacityBound = 8;
+  /// Consecutive handshake-free cycles the deadlock watchdog tolerates.
   unsigned watchdogWindow = 8;
   /// k-induction rung: largest inductive step tried before PDR takes
   /// over (0 skips straight to PDR; the base-case BMC frames are kept
@@ -138,8 +145,9 @@ struct PdrResult {
   std::vector<PdrPropertyResult> properties;
   SolverStats stats; // summed over every solver the engine ran
 
-  /// Vacuously true with zero enabled properties (same contract as
-  /// BmcResult::allHold / minDepthReached: never reads as a proof).
+  /// True when every enabled property is proved for all time; false
+  /// with zero enabled properties, so an all-disabled run never reads
+  /// as a proof.
   bool allProved() const {
     if (properties.empty()) return false;
     for (const PdrPropertyResult& p : properties) {
@@ -241,5 +249,9 @@ ReplayResult replayTraceOnOracle(const netlist::Netlist& nl,
                                  const std::string& property,
                                  const PdrTrace& trace,
                                  const ReplayOptions& opts);
+
+/// Sound storage bounds for the canned constructions.
+unsigned capacityBound(const sync::SystemSpec& spec);
+unsigned capacityBound(const sync::WrapperConfig& cfg);
 
 } // namespace lis::sat

@@ -487,10 +487,10 @@ void testRunManyOptPipeline() {
 }
 
 void testRunManySatPipeline() {
-  // The SAT verification pipeline (sweep + soundness proof + protocol
-  // BMC + unbounded PDR proofs) through the runMany contract: solver
-  // statistics, sweep tallies, proof verdicts, BMC outcomes and the
-  // PDR trapezoid shape are all deterministic functions of the design,
+  // The SAT verification pipeline (sweep + soundness proof + unbounded
+  // protocol proofs) through the runMany contract: solver statistics,
+  // sweep tallies, proof verdicts and the PDR trapezoid shape are all
+  // deterministic functions of the design,
   // so --jobs 1 and --jobs 8 must agree metric for metric.
   // Trimmed to one encoding of the sat suite — this also runs under
   // TSan, where 8 designs × 2 runs would dominate the wall clock.
@@ -505,19 +505,11 @@ void testRunManySatPipeline() {
   for (std::size_t i = 0; i < designs1.size(); ++i) {
     CHECK(serial[i].ok);
     // The proofs themselves: sweep soundness held and every protocol
-    // invariant was proven to the requested depth on both runs.
+    // invariant is proved for all time, within the default budgets, on
+    // both runs.
     for (Design* d : {&designs1[i], &designs8[i]}) {
       const lis::sat::NetlistSweepResult* sw = d->sweepResult();
       CHECK(sw != nullptr);
-      const lis::sat::BmcResult* bmc = d->bmcResult();
-      CHECK(bmc != nullptr);
-      if (bmc == nullptr) continue;
-      CHECK(bmc->allHold());
-      CHECK(!bmc->anyDegraded());
-      CHECK_EQ(bmc->minDepthReached(), lis::bench::kSatBmcDepth);
-      CHECK_EQ(bmc->properties.size(), 3u);
-      // The unbounded rung on top of it: every protocol invariant is
-      // proved for all time, within the default budgets, on both runs.
       const lis::sat::PdrResult* pdr = d->pdrResult();
       CHECK(pdr != nullptr);
       if (pdr == nullptr) continue;
@@ -535,11 +527,6 @@ void testRunManySatPipeline() {
     CHECK_EQ(s1.andsAfter, s8.andsAfter);
     CHECK_EQ(s1.solver.conflicts, s8.solver.conflicts);
     CHECK_EQ(s1.solver.propagations, s8.solver.propagations);
-    const auto& b1 = designs1[i].bmcResult()->stats;
-    const auto& b8 = designs8[i].bmcResult()->stats;
-    CHECK_EQ(b1.conflicts, b8.conflicts);
-    CHECK_EQ(b1.decisions, b8.decisions);
-    CHECK_EQ(b1.propagations, b8.propagations);
     // PDR's trapezoid is rebuilt from the same seed and the same
     // obligation order at any job count: frame counts, learned-clause
     // counts, the engine counters and the solver totals all match.

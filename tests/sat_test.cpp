@@ -1,8 +1,8 @@
 // sat_test — the CDCL core against known-hard/known-easy instances, the
 // CNF encoder against exhaustive netlist evaluation, SAT-sweeping
-// soundness on real wrapper/mesh configs, and bounded model checking of
-// the protocol invariants including a deliberately broken relay with a
-// violation at a known depth.
+// soundness on real wrapper/mesh configs, and unbounded proofs of the
+// protocol invariants including a deliberately broken relay with
+// violations at known depths.
 
 #include <cstdint>
 #include <map>
@@ -19,7 +19,6 @@
 #include "netlist/netlist_sim.hpp"
 #include "netlist/seq_equiv.hpp"
 #include "obs/trace.hpp"
-#include "sat/bmc.hpp"
 #include "sat/cnf.hpp"
 #include "sat/pdr.hpp"
 #include "sat/solver.hpp"
@@ -389,84 +388,12 @@ void testSweepSoundnessOnRealConfigs() {
 }
 
 // ---------------------------------------------------------------------------
-// bounded model checking
-
-void testBmcHoldsOnCleanDesigns() {
-  lsync::SystemSpec spec = lsync::chainSpec(2, 1, lsync::Encoding::Binary);
-  const lsync::System sys = lsync::buildSystem(spec);
-  sat::BmcOptions opts;
-  opts.depth = 12;
-  opts.capacityBound = sat::capacityBound(spec);
-  const sat::BmcResult r =
-      sat::checkInvariants(sys.netlist, lsync::portView(sys.ports), opts);
-  CHECK(r.allHold());
-  CHECK(!r.anyDegraded());
-  CHECK_EQ(r.minDepthReached(), opts.depth);
-  CHECK_EQ(r.properties.size(), 3u);
-
-  lsync::WrapperConfig cfg;
-  cfg.numInputs = 1;
-  cfg.numOutputs = 1;
-  const lsync::Wrapper w = lsync::buildWrapper(cfg);
-  sat::BmcOptions wopts;
-  wopts.depth = 10;
-  wopts.capacityBound = sat::capacityBound(cfg);
-  const sat::BmcResult wr =
-      sat::checkInvariants(w.netlist, lsync::portView(w.ports), wopts);
-  CHECK(wr.allHold());
-  CHECK(!wr.anyDegraded());
-  CHECK_EQ(wr.minDepthReached(), wopts.depth);
-}
-
-void testBmcBrokenRelayKnownDepth() {
-  // A "relay" that asserts out_valid from reset and never stalls its
-  // producer: it invents a token every cycle. With capacity bound B the
-  // delivered counter reads k at frame k, so token conservation first
-  // fails at frame B+1 — exactly, and on every run.
-  nlx::Netlist nl("broken_relay");
-  const nlx::NodeId inValid = nl.addInput("in_valid");
-  const nlx::NodeId inData = nl.addInput("in_data");
-  const nlx::NodeId outStop = nl.addInput("out_stop");
-  nl.addOutput("in_stop", nl.constant(false));
-  nl.addOutput("out_valid", nl.constant(true));
-  nl.addOutput("out_data", nl.mkDff(inData));
-  lsync::PortView view;
-  view.inValid = {inValid};
-  view.inData = {{inData}};
-  view.inStop = {nl.outputs()[0]};
-  view.outValid = {nl.outputs()[1]};
-  view.outData = {{nl.outputs()[2]}};
-  view.outStop = {outStop};
-
-  sat::BmcOptions opts;
-  opts.depth = 10;
-  opts.capacityBound = 2;
-  for (int run = 0; run < 2; run++) {
-    const sat::BmcResult r = sat::checkInvariants(nl, view, opts);
-    CHECK_EQ(r.properties.size(), 3u);
-    const sat::BmcPropertyResult& token = r.properties[0];
-    CHECK(token.name == "token_conservation");
-    CHECK(token.violated);
-    CHECK_EQ(token.failDepth, opts.capacityBound + 1);
-    // The environment may also stuff tokens in while stalling the
-    // output for ever: occupancy breaks at the same depth.
-    const sat::BmcPropertyResult& occ = r.properties[1];
-    CHECK(occ.violated);
-    CHECK_EQ(occ.failDepth, opts.capacityBound + 1);
-    // Under the maximal-progress environment this design always makes
-    // progress, so the watchdog holds.
-    const sat::BmcPropertyResult& wd = r.properties[2];
-    CHECK(wd.name == "deadlock_watchdog");
-    CHECK(!wd.violated);
-    CHECK_EQ(wd.depthReached, opts.depth);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // unbounded proofs (k-induction + PDR)
 
-/// The deliberately broken relay from testBmcBrokenRelayKnownDepth,
-/// shared by the unbounded-proof counterexample tests.
+/// A deliberately broken "relay" that asserts out_valid from reset and
+/// never stalls its producer: it invents a token every cycle, and an
+/// environment that stalls its output while feeding it overfills it.
+/// Shared by the unbounded-proof counterexample tests.
 nlx::Netlist brokenRelay(lsync::PortView& view) {
   nlx::Netlist nl("broken_relay");
   const nlx::NodeId inValid = nl.addInput("in_valid");
@@ -486,27 +413,14 @@ nlx::Netlist brokenRelay(lsync::PortView& view) {
 
 void testResultEmptyEdges() {
   // The all-disabled edge: zero enabled properties must read as "nothing
-  // proven" on both result types — BmcResult pairs vacuous allHold()
-  // with minDepthReached() == 0, PdrResult's allProved() is explicitly
-  // false — so neither can masquerade as a proof.
-  const sat::BmcResult emptyBmc;
-  CHECK(emptyBmc.allHold());
-  CHECK_EQ(emptyBmc.minDepthReached(), 0u);
+  // proven" — allProved() is explicitly false and minDepthReached() is
+  // 0 — so an empty result cannot masquerade as a proof.
   const sat::PdrResult emptyPdr;
   CHECK(!emptyPdr.allProved());
   CHECK_EQ(emptyPdr.minDepthReached(), 0u);
 
   lsync::SystemSpec spec = lsync::chainSpec(2, 1, lsync::Encoding::Binary);
   const lsync::System sys = lsync::buildSystem(spec);
-  sat::BmcOptions bopts;
-  bopts.tokenConservation = false;
-  bopts.occupancyBound = false;
-  bopts.deadlockWatchdog = false;
-  const sat::BmcResult br =
-      sat::checkInvariants(sys.netlist, lsync::portView(sys.ports), bopts);
-  CHECK(br.properties.empty());
-  CHECK(br.allHold());
-  CHECK_EQ(br.minDepthReached(), 0u);
   sat::PdrOptions popts;
   popts.tokenConservation = false;
   popts.occupancyBound = false;
@@ -611,6 +525,20 @@ void testPdrCleanTopologiesProvedUnbounded() {
       }
     }
   }
+  // The single wrappers, proved against their own storage bound.
+  for (unsigned numInputs : {1u, 2u}) {
+    lsync::WrapperConfig cfg;
+    cfg.numInputs = numInputs;
+    cfg.numOutputs = 1;
+    const lsync::Wrapper w = lsync::buildWrapper(cfg);
+    sat::PdrOptions opts;
+    opts.capacityBound = sat::capacityBound(cfg);
+    const sat::PdrResult r =
+        sat::proveUnbounded(w.netlist, lsync::portView(w.ports), opts);
+    CHECK_EQ(r.properties.size(), 3u);
+    CHECK(r.allProved());
+    CHECK(!r.anyDegraded());
+  }
 }
 
 void testPdrBrokenRelayCexAndReplay() {
@@ -638,6 +566,17 @@ void testPdrBrokenRelayCexAndReplay() {
         sat::replayTrace(nl, view, token.name, token.trace, ropts);
     CHECK(rep.reproduced);
     CHECK_EQ(rep.violationCycle, 1u);
+    // An environment that feeds the relay while stalling its output
+    // overfills it: occupancy first exceeds B at cycle B+1.
+    const sat::PdrPropertyResult& occ = r.properties[1];
+    CHECK(occ.name == "occupancy_bound");
+    CHECK(occ.violated);
+    CHECK(occ.method == "bmc");
+    CHECK_EQ(occ.failDepth, opts.capacityBound + 1);
+    const sat::ReplayResult occRep =
+        sat::replayTrace(nl, view, occ.name, occ.trace, ropts);
+    CHECK(occRep.reproduced);
+    CHECK_EQ(occRep.violationCycle, opts.capacityBound + 1);
     // The watchdog holds under maximal progress — and is in fact
     // provable for all time on this design.
     const sat::PdrPropertyResult& wd = r.properties[2];
@@ -660,6 +599,14 @@ void testPdrBrokenRelayCexAndReplay() {
         sat::replayTrace(nl, view, token.name, token.trace, ropts);
     CHECK(rep.reproduced);
     CHECK_EQ(rep.violationCycle, 1u);
+    const sat::PdrPropertyResult& occ = r.properties[1];
+    CHECK(occ.violated);
+    CHECK(occ.method == "pdr");
+    CHECK_EQ(occ.failDepth, opts.capacityBound + 1);
+    const sat::ReplayResult occRep =
+        sat::replayTrace(nl, view, occ.name, occ.trace, ropts);
+    CHECK(occRep.reproduced);
+    CHECK_EQ(occRep.violationCycle, opts.capacityBound + 1);
   }
 }
 
@@ -709,6 +656,15 @@ void testPdrReplayOnCosimOracle() {
     CHECK_EQ(rep.violationCycle, 1u);
     CHECK(rep.oracleChecked);
     CHECK(!rep.oracleAgrees); // the spec-true oracle never invents tokens
+    const sat::PdrPropertyResult& occ = r.properties[1];
+    CHECK(occ.violated);
+    lsync::Oracle occBeh(cfg);
+    const sat::ReplayResult occRep = sat::replayTraceOnOracle(
+        broken, bview, occBeh, occ.name, occ.trace, bropts);
+    CHECK(occRep.reproduced);
+    CHECK_EQ(occRep.violationCycle, opts.capacityBound + 1);
+    CHECK(occRep.oracleChecked);
+    CHECK(!occRep.oracleAgrees);
   }
 }
 
@@ -1213,8 +1169,6 @@ int main() {
   testUnrollerCountsFrames();
   testSweepMergesRedundantXor();
   testSweepSoundnessOnRealConfigs();
-  testBmcHoldsOnCleanDesigns();
-  testBmcBrokenRelayKnownDepth();
   testResultEmptyEdges();
   testPdrProvesHandBuiltMachines();
   testPdrCleanTopologiesProvedUnbounded();

@@ -27,21 +27,19 @@ design. A baseline fault entry missing from the fresh results fails —
 silently shrinking fault coverage is exactly the regression this section
 exists to catch.
 
-The "sat" section (SAT-sweep + protocol-invariant BMC, added with the
-SAT engine) is gated within the fresh results: every non-failed entry
-must hold all three protocol invariants (token conservation, occupancy
-bound, deadlock watchdog), reach the section's advertised BMC depth
-(floor 20), and carry a non-degraded sweep soundness proof
-(equiv_proved, with a method stronger than the simulation screen). A
-baseline sat entry missing from the fresh results fails; a fresh file
-without the section warns (pre-SAT bench output).
-
-On top of the bounded verdicts, the unbounded (k-induction + PDR/IC3)
-rung of the same section is gated by check_pdr: every non-failed entry
-must report proved_unbounded — a verdict that degraded to the bounded
-bar (budget or frame-cap stop) fails with the degradation called out,
-as does an aggregate/per-property inconsistency. Entries that predate
-the PDR engine (no proved_unbounded key) warn and skip.
+The "sat" section (SAT-sweep + unbounded protocol proofs) is gated
+within the fresh results. check_sat requires every non-failed entry to
+carry a non-degraded sweep soundness proof (equiv_proved, with a method
+stronger than the simulation screen); a baseline sat entry missing from
+the fresh results fails, and a fresh file without the section warns
+(pre-SAT bench output). check_pdr is the one gate on the protocol
+verdicts: every non-failed entry must report proved_unbounded and all
+three per-property *_proved keys (token conservation, occupancy bound,
+deadlock watchdog) true. A missing verdict key, an unproved property, a
+verdict that degraded to a bounded result (budget or frame-cap stop)
+and an aggregate/per-property inconsistency all fail. Keys of older
+bench output that this gate no longer reads (bmc_depth, *_ok) are
+ignored.
 
 The sat suite's utilization wall (metrics.utilization, suite "sat") must
 stay within 2x the baseline's. Like --scale-gate's speedup floor this
@@ -192,23 +190,14 @@ def check_fault(baseline, fresh):
     return failures, warnings
 
 
-# The BMC depth the sat section must prove the protocol invariants to
-# (matches bench::kSatBmcDepth) and the invariant verdict keys every
-# entry must hold.
-SAT_BMC_DEPTH_FLOOR = 20
-SAT_INVARIANT_KEYS = ("token_conservation_ok", "occupancy_bound_ok",
-                      "deadlock_watchdog_ok")
-
-
 def check_sat(baseline, fresh):
-    """Gate the SAT-sweep + BMC verification section.
+    """Gate the SAT-sweep half of the sat verification section.
 
     Returns (failures, warnings). A fresh file without a "sat" section
     only warns (pre-SAT bench output); with one, every non-failed entry
-    must hold the three protocol invariants at SAT_BMC_DEPTH_FLOOR and
-    carry a proven (non-degraded) sweep equivalence whose method is
+    must carry a proven (non-degraded) sweep equivalence whose method is
     stronger than the simulation screen. A baseline design dropped from
-    the fresh entries fails.
+    the fresh entries fails. The protocol verdicts are check_pdr's.
     """
     failures = []
     warnings = []
@@ -227,22 +216,8 @@ def check_sat(baseline, fresh):
         fresh_names.add(name)
         if entry.get("failed"):
             warnings.append(f"sat {name}: config failed in the bench run; "
-                            f"invariant checks skipped")
+                            f"verification checks skipped")
             continue
-        for key in SAT_INVARIANT_KEYS:
-            if key not in entry:
-                warnings.append(f'sat {name}: key "{key}" missing; '
-                                f"invariant check skipped")
-            elif not entry[key]:
-                failures.append(f"sat {name}: protocol invariant "
-                                f"{key[:-3]} violated")
-        depth = entry.get("bmc_depth")
-        if depth is None:
-            warnings.append(f"sat {name}: bmc_depth key missing; "
-                            f"depth check skipped")
-        elif depth < SAT_BMC_DEPTH_FLOOR:
-            failures.append(f"sat {name}: BMC depth {depth} below the "
-                            f"{SAT_BMC_DEPTH_FLOOR} floor")
         if "equiv_proved" not in entry:
             warnings.append(f"sat {name}: equiv_proved key missing; "
                             f"sweep proof check skipped")
@@ -270,17 +245,17 @@ PDR_PROPERTY_KEYS = ("token_conservation_proved", "occupancy_bound_proved",
 
 
 def check_pdr(baseline, fresh):
-    """Gate the unbounded-proof verdicts riding on the "sat" section.
+    """Gate the protocol verdicts of the "sat" section.
 
-    Returns (failures, warnings). Entries that predate the PDR engine
-    (no proved_unbounded key) warn and skip; with the key, every
-    non-failed entry must be proved for all time within the bench's
-    default budgets. A degraded verdict fails with the degradation
-    named — falling back to the BMC floor is a weaker result than the
-    baseline promises, never an acceptable substitute. An entry that
-    claims the aggregate but not every per-property verdict (or the
-    reverse) fails as inconsistent. Dropped designs are already gated
-    by check_sat.
+    Returns (failures, warnings). Every non-failed entry must be proved
+    for all time within the bench's default budgets: proved_unbounded
+    and each per-property key true. A missing verdict key fails — a
+    gate that skips what it cannot read passes vacuously. A degraded
+    verdict fails with the degradation named; a bounded result is
+    weaker than the baseline promises, never a substitute. An entry
+    that claims the aggregate but not every per-property verdict (or
+    the reverse) fails as inconsistent. Dropped designs are gated by
+    check_sat.
     """
     failures = []
     warnings = []
@@ -292,29 +267,30 @@ def check_pdr(baseline, fresh):
         name = entry.get("design")
         if name is None or entry.get("failed"):
             continue  # check_sat already reported these
-        if "proved_unbounded" not in entry:
-            warnings.append(f"sat {name}: proved_unbounded key missing "
-                            f"(pre-PDR bench output); unbounded gate "
-                            f"skipped")
+        missing = [k for k in ("proved_unbounded",) + PDR_PROPERTY_KEYS
+                   if k not in entry]
+        if missing:
+            failures.append(f"sat {name}: verdict keys missing: "
+                            f"{', '.join(missing)}")
             continue
-        proved = entry["proved_unbounded"]
-        if not proved:
-            if entry.get("pdr_degraded"):
-                failures.append(
-                    f"sat {name}: unbounded proof degraded to the bounded "
-                    f"verdict (solver budget or frame cap exhausted)")
-            else:
-                failures.append(f"sat {name}: protocol invariants not "
-                                f"proved unbounded")
-        for key in PDR_PROPERTY_KEYS:
-            if key not in entry:
-                warnings.append(f'sat {name}: key "{key}" missing; '
-                                f"per-property unbounded check skipped")
-            elif proved and not entry[key]:
+        unproved = [k[:-len("_proved")] for k in PDR_PROPERTY_KEYS
+                    if not entry[k]]
+        if entry["proved_unbounded"]:
+            if unproved:
                 failures.append(
                     f"sat {name}: aggregate proved_unbounded set but "
-                    f"{key[:-len('_proved')]} unproved (inconsistent "
+                    f"{', '.join(unproved)} unproved (inconsistent "
                     f"verdicts)")
+        elif entry.get("pdr_degraded"):
+            failures.append(
+                f"sat {name}: unbounded proof degraded to a bounded "
+                f"verdict (solver budget or frame cap exhausted)")
+        elif unproved:
+            failures.append(f"sat {name}: protocol invariants not proved "
+                            f"unbounded: {', '.join(unproved)}")
+        else:
+            failures.append(f"sat {name}: proved_unbounded unset but every "
+                            f"property proved (inconsistent verdicts)")
     return failures, warnings
 
 
@@ -427,7 +403,7 @@ SCALE_REQUIRED_TOPOLOGIES = ("pipe256_d1", "pipe1024_d1", "mesh16x16_d1",
 SCALE_MIN_HW_THREADS = 4
 
 # Suites whose utilization wall may take at most SUITE_WALL_SLACK times
-# the baseline's: sat (SAT sweep + BMC + unbounded proofs) and sweep_opt
+# the baseline's: sat (SAT sweep + unbounded proofs) and sweep_opt
 # (optimize + proven equivalence across the sweep designs). Wall time is a
 # machine fact, so the gate only binds on runs with SCALE_MIN_HW_THREADS
 # threads.
@@ -693,19 +669,14 @@ def run_gate(args):
         if entry.get("failed"):
             print(f"sat {name:>24}   FAILED")
         else:
-            holds = all(entry.get(k) for k in SAT_INVARIANT_KEYS)
-            if "proved_unbounded" not in entry:
-                unbounded = ""
-            elif entry["proved_unbounded"]:
+            if entry.get("proved_unbounded"):
                 unbounded = (f" unbounded (k={entry.get('induction_k', '?')}"
                              f", {entry.get('pdr_frames', '?')} frames)")
             elif entry.get("pdr_degraded"):
                 unbounded = " unbounded DEGRADED"
             else:
                 unbounded = " unbounded UNPROVED"
-            print(f"sat {name:>24}   bmc depth "
-                  f"{entry.get('bmc_depth', '?'):>2} "
-                  f"{'clean' if holds else 'VIOLATED'} sweep "
+            print(f"sat {name:>24}   sweep "
                   f"{entry.get('equiv_method', '?')}"
                   f"{'' if entry.get('equiv_proved') else ' UNPROVED'}"
                   f"{unbounded}")
@@ -866,9 +837,7 @@ def self_test():
     sat_entry = {"design": "chain3_d1_binary", "sweep_candidates": 12,
                  "sweep_proved": 12, "sweep_refuted": 0,
                  "sweep_undecided": 0, "equiv_method": "sat",
-                 "equiv_proved": True, "bmc_depth": 20,
-                 "token_conservation_ok": True, "occupancy_bound_ok": True,
-                 "deadlock_watchdog_ok": True, "proved_unbounded": True,
+                 "equiv_proved": True, "proved_unbounded": True,
                  "pdr_degraded": False, "induction_k": 3, "pdr_frames": 22,
                  "pdr_clauses": 3000, "token_conservation_proved": True,
                  "occupancy_bound_proved": True,
@@ -880,19 +849,11 @@ def self_test():
         return e
 
     def sat_file(entries):
-        return {"sat": {"bmc_depth": 20, "entries": entries}}
+        return {"sat": {"entries": entries}}
 
-    # Clean invariants at full depth with a proved sweep: passes.
+    # A proved sweep passes.
     f, w = check_sat(sat_file([sat_entry]), sat_file([sat_entry]))
     checks.append(("sat clean entry passes", not f and not w))
-    # Any violated invariant fails.
-    f, _ = check_sat({}, sat_file([sat_with(token_conservation_ok=False)]))
-    checks.append(("sat violated invariant fails", bool(f)))
-    f, _ = check_sat({}, sat_file([sat_with(deadlock_watchdog_ok=False)]))
-    checks.append(("sat watchdog violation fails", bool(f)))
-    # BMC stopping short of the depth floor fails.
-    f, _ = check_sat({}, sat_file([sat_with(bmc_depth=12)]))
-    checks.append(("sat shallow bmc fails", bool(f)))
     # An unproved (degraded) sweep fails; so does a sim-screen method.
     f, _ = check_sat({}, sat_file([sat_with(equiv_proved=False)]))
     checks.append(("sat unproved sweep fails", bool(f)))
@@ -904,10 +865,10 @@ def self_test():
     # A baseline design dropped from the fresh entries fails.
     f, _ = check_sat(sat_file([sat_entry]), sat_file([]))
     checks.append(("dropped sat design fails", bool(f)))
-    # Missing keys warn and skip; failed configs warn; a fresh file
-    # without the section warns and passes.
+    # A missing sweep-proof key warns and skips; failed configs warn; a
+    # fresh file without the section warns and passes.
     slim_sat = dict(sat_entry)
-    del slim_sat["bmc_depth"]
+    del slim_sat["equiv_proved"]
     f, w = check_sat({}, sat_file([slim_sat]))
     checks.append(("sat missing key warns", not f and bool(w)))
     f, w = check_sat(sat_file([sat_entry]), sat_file([
@@ -926,19 +887,34 @@ def self_test():
         sat_with(proved_unbounded=False, pdr_degraded=True)]))
     checks.append(("pdr degraded verdict fails",
                    bool(f) and any("degraded" in x for x in f)))
-    # Plain unproved fails too.
-    f, _ = check_pdr({}, sat_file([sat_with(proved_unbounded=False)]))
-    checks.append(("pdr unproved fails", bool(f)))
-    # Aggregate/per-property inconsistency fails.
+    # A violated (unproved) property fails, and the message names it.
+    f, _ = check_pdr({}, sat_file([
+        sat_with(proved_unbounded=False, token_conservation_proved=False)]))
+    checks.append(("pdr violated property fails",
+                   bool(f) and any("token_conservation" in x for x in f)))
+    # Aggregate/per-property inconsistency fails, either way round.
     f, _ = check_pdr({}, sat_file([
         sat_with(occupancy_bound_proved=False)]))
     checks.append(("pdr inconsistent verdicts fail", bool(f)))
-    # Pre-PDR bench output (no proved_unbounded key) warns and skips.
-    pre_pdr = dict(sat_entry)
-    for key in ("proved_unbounded", "pdr_degraded") + PDR_PROPERTY_KEYS:
-        del pre_pdr[key]
-    f, w = check_pdr({}, sat_file([pre_pdr]))
-    checks.append(("pdr pre-engine entry warns", not f and bool(w)))
+    f, _ = check_pdr({}, sat_file([sat_with(proved_unbounded=False)]))
+    checks.append(("pdr unset aggregate fails", bool(f)))
+    # A missing verdict key fails instead of skipping the gate.
+    for key in ("proved_unbounded",) + PDR_PROPERTY_KEYS:
+        slim = dict(sat_entry)
+        del slim[key]
+        f, _ = check_pdr({}, sat_file([slim]))
+        checks.append((f"pdr missing {key} fails",
+                       bool(f) and any(key in x for x in f)))
+    # A baseline from before the bounded checker was retired, still
+    # carrying bmc_depth and the *_ok keys, compares cleanly.
+    old_entry = sat_with(bmc_depth=20, bmc_degraded=False,
+                         token_conservation_ok=True, occupancy_bound_ok=True,
+                         deadlock_watchdog_ok=True)
+    old_file = {"sat": {"bmc_depth": 20, "entries": [old_entry]}}
+    f, w = check_sat(old_file, sat_file([sat_entry]))
+    checks.append(("sat old bmc baseline compares cleanly", not f and not w))
+    f, w = check_pdr(old_file, sat_file([sat_entry]))
+    checks.append(("pdr old bmc baseline compares cleanly", not f and not w))
     # Failed configs are check_sat's business; check_pdr stays silent.
     f, w = check_pdr({}, sat_file([
         {"design": sat_entry["design"], "failed": True}]))
